@@ -70,7 +70,6 @@ type simOptions struct {
 	target       int
 	waves        int
 	measureMem   bool
-	materialize  bool
 	snapshotDir  string
 	snapshotTick int
 	restorePath  string
@@ -111,7 +110,6 @@ func run(args []string) error {
 	fs.IntVar(&o.target, "target", 0, "peak concurrent-call target for -metropolis (0 = default 20000)")
 	fs.IntVar(&o.waves, "waves", 0, "decision waves for -metropolis (0 = one simulated day)")
 	fs.BoolVar(&o.measureMem, "measure-mem", false, "report heap bytes per concurrent call at the population peak (-metropolis)")
-	fs.BoolVar(&o.materialize, "metro-materialize", false, "materialize whole waves instead of streaming MaxBatch chunks (-metropolis A/B check)")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory for durable run snapshots (-metropolis; written atomically as "+facs.MetroSnapshotFile+")")
 	fs.IntVar(&o.snapshotTick, "snapshot-every-ticks", 0, "snapshot every N tick barriers into -snapshot-dir (-metropolis; 0 = only on interrupt)")
 	fs.StringVar(&o.restorePath, "restore", "", "warm-start a -metropolis run from a snapshot file")
@@ -149,8 +147,6 @@ func run(args []string) error {
 		if o.reps > 1 || o.workers != 0 {
 			return fmt.Errorf("-metropolis runs one scenario; -reps/-workers do not apply")
 		}
-	} else if o.materialize {
-		return fmt.Errorf("-metro-materialize applies to -metropolis runs")
 	}
 	if !o.metropolis && (o.snapshotDir != "" || o.snapshotTick != 0 || o.restorePath != "") {
 		return fmt.Errorf("-snapshot-dir/-snapshot-every-ticks/-restore apply to -metropolis runs")
@@ -436,7 +432,6 @@ func runMetropolis(o simOptions) error {
 		Waves:                o.waves,
 		Seed:                 o.seed,
 		MeasureMem:           o.measureMem,
-		Materialize:          o.materialize,
 		SnapshotDir:          o.snapshotDir,
 		SnapshotEveryTicks:   o.snapshotTick,
 		Restore:              o.restorePath,

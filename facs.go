@@ -123,10 +123,11 @@ const (
 type Controller = icac.Controller
 
 // BatchController is implemented by controllers with a native batch
-// decision path: DecideBatch decides many requests in one call with
-// identical outcomes to per-request Decide calls, amortising per-request
-// work. The FACS System, the compiled fast path, the SCC ledger and the
-// guard-channel / threshold baselines all implement it.
+// decision path: DecideBatchInto decides many requests in one call into
+// a caller-provided buffer, with identical outcomes to per-request
+// Decide calls, amortising per-request work. The FACS System, the
+// compiled fast path, the SCC ledger and the guard-channel / threshold
+// baselines all implement it.
 type BatchController = icac.BatchController
 
 // DecideAll renders decisions for a batch of requests through the
@@ -212,7 +213,8 @@ func NewSCCLedger(cfg SCCConfig) (*SCCLedger, error) { return iscc.NewLedger(cfg
 // counters — guard-band fallbacks, rebuilds and ghost-exchange activity
 // — taken via SCCLedger.Snapshot from the decision loop that owns the
 // ledger (e.g. a ShardedEngine.Do barrier). Snapshots aggregate with
-// Add; RunSharded and RunStreaming capture them automatically.
+// Add; facs-serve prints the aggregate at end of stream and exports it
+// on /metrics.
 type SCCLedgerStats = iscc.LedgerStats
 
 // CompleteSharing is the simplest baseline: admit whenever the call fits.

@@ -46,11 +46,10 @@ type GuardChannel struct {
 }
 
 var (
-	_ Controller          = GuardChannel{}
-	_ BatchController     = GuardChannel{}
-	_ BatchIntoController = GuardChannel{}
-	_ CellLocal           = GuardChannel{}
-	_ Snapshotter         = GuardChannel{}
+	_ Controller      = GuardChannel{}
+	_ BatchController = GuardChannel{}
+	_ CellLocal       = GuardChannel{}
+	_ Snapshotter     = GuardChannel{}
 )
 
 // NewGuardChannel validates and constructs the scheme.
@@ -86,19 +85,10 @@ func (g GuardChannel) Decide(req Request) (Decision, error) {
 	return Reject, nil
 }
 
-// DecideBatch implements BatchController: the free-pool read is
-// amortised across consecutive requests on the same station (Decide
-// must not mutate stations, so occupancy is stable for the batch).
-func (g GuardChannel) DecideBatch(reqs []Request) ([]Decision, error) {
-	out := make([]Decision, len(reqs))
-	if err := g.DecideBatchInto(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecideBatchInto implements BatchIntoController: DecideBatch semantics
-// into a caller-provided buffer, with zero allocations.
+// DecideBatchInto implements BatchController with zero allocations:
+// the free-pool read is amortised across consecutive requests on the
+// same station (Decide must not mutate stations, so occupancy is stable
+// for the batch).
 //
 //facs:hotpath
 func (g GuardChannel) DecideBatchInto(reqs []Request, out []Decision) error {
@@ -161,11 +151,10 @@ type ThresholdPolicy struct {
 }
 
 var (
-	_ Controller          = ThresholdPolicy{}
-	_ BatchController     = ThresholdPolicy{}
-	_ BatchIntoController = ThresholdPolicy{}
-	_ CellLocal           = ThresholdPolicy{}
-	_ Snapshotter         = ThresholdPolicy{}
+	_ Controller      = ThresholdPolicy{}
+	_ BatchController = ThresholdPolicy{}
+	_ CellLocal       = ThresholdPolicy{}
+	_ Snapshotter     = ThresholdPolicy{}
 )
 
 // NewThresholdPolicy validates and constructs the policy.
@@ -219,18 +208,6 @@ func (p ThresholdPolicy) Decide(req Request) (Decision, error) {
 	return Reject, nil
 }
 
-// DecideBatch implements BatchController: the station's free pool is read
-// once per station run (Decide must not mutate stations, so occupancy is
-// stable for the batch); per-class occupancy comes from the station's
-// O(1) class counters.
-func (p ThresholdPolicy) DecideBatch(reqs []Request) ([]Decision, error) {
-	out := make([]Decision, len(reqs))
-	if err := p.DecideBatchInto(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // thresholdSnapshotHash fingerprints the per-class ceilings in sorted
 // class order, so map iteration order never perturbs the hash.
 func (p ThresholdPolicy) thresholdSnapshotHash() uint64 {
@@ -262,8 +239,10 @@ func (p ThresholdPolicy) RestoreFrom(r io.Reader) error {
 	return d.Close()
 }
 
-// DecideBatchInto implements BatchIntoController: DecideBatch semantics
-// into a caller-provided buffer, with zero allocations.
+// DecideBatchInto implements BatchController with zero allocations:
+// the station's free pool is read once per station run (Decide must not
+// mutate stations, so occupancy is stable for the batch); per-class
+// occupancy comes from the station's O(1) class counters.
 //
 //facs:hotpath
 func (p ThresholdPolicy) DecideBatchInto(reqs []Request, out []Decision) error {

@@ -3,34 +3,21 @@ package cac
 import "fmt"
 
 // BatchController is implemented by controllers with a native batch
-// decision path: DecideBatch answers many admission questions in one
-// call, amortising per-request work (surface lookups, scratch buffers,
-// station state reads) that Decide pays on every invocation.
+// decision path: DecideBatchInto answers many admission questions in
+// one call, amortising per-request work (surface lookups, scratch
+// buffers, station state reads) that Decide pays on every invocation,
+// and writes the decisions into a caller-provided buffer. Long-lived
+// decision loops (serve.Service, the sharded engine, the metropolis
+// wave loop) reuse one buffer across millions of batches, so the
+// steady-state decision path performs zero allocations.
 //
-// Contract: DecideBatch(reqs)[i] must equal Decide(reqs[i]) evaluated
-// against the same controller and station state — batching changes the
-// cost of a decision, never its outcome. Controllers must not mutate
-// any station; like Decide, the caller allocates on Accept. A request
-// that fails validation aborts the batch with its error.
+// Contract: out[i] must equal Decide(reqs[i]) evaluated against the
+// same controller and station state — batching changes the cost of a
+// decision, never its outcome. len(out) must be >= len(reqs) (only the
+// first len(reqs) entries are written). Controllers must not mutate any
+// station; like Decide, the caller allocates on Accept. A request that
+// fails validation aborts the batch with its error.
 type BatchController interface {
-	Controller
-	// DecideBatch returns one decision per request, in request order.
-	DecideBatch(reqs []Request) ([]Decision, error)
-}
-
-// BatchIntoController is the allocation-free refinement of
-// BatchController: DecideBatchInto writes decisions into a
-// caller-provided buffer instead of allocating a fresh slice per batch.
-// Long-lived decision loops (serve.Service, the sharded engine, the
-// metropolis wave loop) reuse one buffer across millions of batches, so
-// the steady-state decision path performs zero allocations.
-//
-// Contract: identical outcome semantics to DecideBatch — out[i] must
-// equal Decide(reqs[i]) — and len(out) must be >= len(reqs) (only the
-// first len(reqs) entries are written). Every BatchIntoController in
-// this repository also implements BatchController by delegating to the
-// Into path with a fresh buffer.
-type BatchIntoController interface {
 	Controller
 	// DecideBatchInto writes one decision per request, in request
 	// order, into out[:len(reqs)].
@@ -51,11 +38,11 @@ func DecideOne(c Controller, scratch *[1]Request, req Request) (Decision, error)
 }
 
 // DecideAll renders decisions for a batch of requests through c's
-// native batch path when it implements BatchController (or
-// BatchIntoController), and falls back to sequential Decide calls
-// otherwise. It is the single entry point callers should use for
-// multi-request admission when they do not manage an output buffer;
-// hot loops should prefer DecideAllInto with reused scratch.
+// native batch path when it implements BatchController, and falls back
+// to sequential Decide calls otherwise. It is the single entry point
+// callers should use for multi-request admission when they do not
+// manage an output buffer; hot loops should prefer DecideAllInto with
+// reused scratch.
 func DecideAll(c Controller, reqs []Request) ([]Decision, error) {
 	out := make([]Decision, len(reqs))
 	if err := DecideAllInto(c, reqs, out); err != nil {
@@ -66,12 +53,11 @@ func DecideAll(c Controller, reqs []Request) ([]Decision, error) {
 
 // DecideAllInto renders decisions for a batch of requests into the
 // caller-provided buffer out, which must hold at least len(reqs)
-// entries. Dispatch prefers the allocation-free BatchIntoController
-// path, then BatchController (copying its result), then sequential
-// Decide calls — outcomes are identical on every path; only the
-// allocation behaviour differs. Controllers with native Into support
-// make the whole call allocation-free, which is what the steady-state
-// zero-alloc gates on the metropolis wave loop pin.
+// entries. Dispatch prefers the native BatchController path, then
+// sequential Decide calls — outcomes are identical on both paths. Both
+// write straight into out, so a controller whose decisions allocate
+// nothing makes the whole call allocation-free, which is what the
+// steady-state zero-alloc gates on the metropolis wave loop pin.
 //
 //facs:hotpath
 func DecideAllInto(c Controller, reqs []Request, out []Decision) error {
@@ -79,16 +65,8 @@ func DecideAllInto(c Controller, reqs []Request, out []Decision) error {
 		return errShortDecisionBuffer(len(reqs), len(out))
 	}
 	out = out[:len(reqs)]
-	if bi, ok := c.(BatchIntoController); ok {
-		return bi.DecideBatchInto(reqs, out)
-	}
 	if bc, ok := c.(BatchController); ok {
-		decisions, err := bc.DecideBatch(reqs)
-		if err != nil {
-			return err
-		}
-		copy(out, decisions)
-		return nil
+		return bc.DecideBatchInto(reqs, out)
 	}
 	for i := range reqs {
 		d, err := c.Decide(reqs[i])

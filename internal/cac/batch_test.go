@@ -105,7 +105,7 @@ func TestDecideAllUsesNativeBatchPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !spy.batched {
-		t.Fatal("DecideAll should route through DecideBatch")
+		t.Fatal("DecideAll should route through DecideBatchInto")
 	}
 	if spy.decides != 0 {
 		t.Fatalf("native path still made %d Decide calls", spy.decides)
@@ -143,13 +143,12 @@ func (s *batchSpy) Decide(Request) (Decision, error) {
 	return Accept, nil
 }
 
-func (s *batchSpy) DecideBatch(reqs []Request) ([]Decision, error) {
+func (s *batchSpy) DecideBatchInto(reqs []Request, out []Decision) error {
 	s.batched = true
-	out := make([]Decision, len(reqs))
-	for i := range out {
+	for i := range reqs {
 		out[i] = Accept
 	}
-	return out, nil
+	return nil
 }
 
 var _ fmt.Stringer = Decision(0)
@@ -172,7 +171,7 @@ func TestDecideOne(t *testing.T) {
 }
 
 // TestDecideAllIntoDispatch pins the Into pipeline: short buffers are
-// rejected, the native Into path is preferred over DecideBatch, and the
+// rejected, the native batch path is preferred over Decide, and the
 // allocation-free implementations (guard, threshold) render identical
 // outcomes into a reused buffer with zero allocations.
 func TestDecideAllIntoDispatch(t *testing.T) {
@@ -180,14 +179,13 @@ func TestDecideAllIntoDispatch(t *testing.T) {
 	if err := DecideAllInto(CompleteSharing{}, reqs, make([]Decision, 3)); err == nil {
 		t.Fatal("short decision buffer should error")
 	}
-	spy := &batchIntoSpy{}
+	spy := &batchSpy{}
 	out := make([]Decision, len(reqs))
 	if err := DecideAllInto(spy, reqs, out); err != nil {
 		t.Fatal(err)
 	}
-	if !spy.into || spy.batchSpy.batched || spy.decides != 0 {
-		t.Fatalf("dispatch order wrong: into=%v batched=%v decides=%d",
-			spy.into, spy.batchSpy.batched, spy.decides)
+	if !spy.batched || spy.decides != 0 {
+		t.Fatalf("dispatch order wrong: batched=%v decides=%d", spy.batched, spy.decides)
 	}
 
 	guard, err := NewGuardChannel(8)
@@ -213,17 +211,4 @@ func TestDecideAllIntoDispatch(t *testing.T) {
 			t.Fatalf("request %d: Into %v, DecideAll %v", i, buf[i], want[i])
 		}
 	}
-}
-
-type batchIntoSpy struct {
-	batchSpy
-	into bool
-}
-
-func (s *batchIntoSpy) DecideBatchInto(reqs []Request, out []Decision) error {
-	s.into = true
-	for i := range reqs {
-		out[i] = Accept
-	}
-	return nil
 }

@@ -13,8 +13,8 @@
 //   - Decide never mutates a station. Admission state changes flow
 //     exclusively through Observer/StateUpdater/Ticker callbacks after
 //     the caller has allocated.
-//   - DecideBatch(reqs)[i] must equal Decide(reqs[i]) against the same
-//     station state: batching changes the cost of a decision, never its
+//   - DecideBatchInto(reqs, out) must set out[i] to Decide(reqs[i])
+//     against the same station state: batching changes the cost of a decision, never its
 //     outcome. Every request in one batch is therefore decided against
 //     the same station snapshot.
 //

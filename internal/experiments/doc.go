@@ -1,13 +1,12 @@
 // Package experiments contains the reproduction and load harness: one
 // driver per figure of the paper's evaluation section (Figs. 7-10), the
 // ablation studies enumerated in ablations.go, the one-shot batch
-// admission sweep (RunBatchAdmission), the closed-loop streaming load
-// generator (RunStreaming) over the internal/serve service, the
-// closed-loop sharded load generator (RunSharded / RunShardedSweep)
-// over the internal/shard engine, and the metropolis-scale diurnal
-// workload (RunMetropolis) — a city-sized hex deployment with
-// rush-hour hotspot mobility, runnable through the single, batch and
-// sharded decision paths.
+// admission sweep (RunBatchAdmission, the one open-loop driver: it
+// decides against a static preloaded snapshot with no commits), and the
+// metropolis-scale diurnal workload (RunMetropolis, the one closed-loop
+// driver) — a city-sized hex deployment with rush-hour hotspot
+// mobility, runnable through the single, batch and sharded decision
+// paths (the latter over the internal/shard engine).
 //
 // # Determinism
 //
@@ -15,15 +14,12 @@
 // replication derives all of its randomness from its own seed via
 // sim.NewStream, so figure results are byte-identical for every worker
 // count (RunSingleCellSeeds/RunMultiCellSeeds shard replications over a
-// worker pool), RunStreaming produces byte-identical decision streams
-// regardless of service timing because waves chunk only at MaxBatch
-// boundaries, and RunSharded produces byte-identical decision and
-// handoff streams for every shard count when the controller is
-// cell-local (cac.CellLocal), and RunMetropolis folds every decision
-// into one FNV-1a digest that is identical across repeats, decision
-// paths and shard counts for cell-local controllers. The determinism
-// suites in parallel_test.go, dispatch_test.go, streaming_test.go,
-// sharded_test.go and metropolis_test.go pin these contracts.
+// worker pool), and RunMetropolis folds every decision into one FNV-1a
+// digest that is identical across repeats, decision paths and shard
+// counts for cell-local controllers (cac.CellLocal), and for the SCC
+// ledger on tick-aligned waves. The determinism suites in
+// parallel_test.go, dispatch_test.go, metropolis_test.go,
+// rebalance_test.go and ghost_test.go pin these contracts.
 //
 // # Entry points
 //
@@ -31,11 +27,8 @@
 // a FigureConfig (load points, seeds, workers, compiled fast path);
 // AllAblations runs the sensitivity studies; RunSingleCell/RunMultiCell
 // execute one scenario; RunBatchAdmission sweeps a request batch
-// against a loaded network snapshot; RunStreaming drives the streaming
-// admission service with waves, held calls and controller ticks;
-// RunSharded drives the sharded engine with the same closed loop plus
-// neighbour handoffs (RunShardedSweep repeats it per shard count);
-// RunMetropolis runs the city-scale diurnal day. The controller
+// against a loaded network snapshot; RunMetropolis runs the city-scale
+// diurnal day with held calls, releases, ticks and neighbour handoffs. The controller
 // factories (FACSFactory, CompiledFACSFactory, SCCFactory,
 // SCCRecomputeFactory) build the multi-cell contestants.
 package experiments

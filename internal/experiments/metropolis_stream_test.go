@@ -4,66 +4,6 @@ import (
 	"testing"
 )
 
-// TestMetropolisStreamingIdentity pins the tentpole contract: the
-// streaming arrival generator (the default) and the materialized path
-// produce byte-identical DecisionHash values — across all three modes
-// and shard counts 1/2/4 — because engines chunk waves at MaxBatch
-// boundaries regardless of how the wave is delivered.
-func TestMetropolisStreamingIdentity(t *testing.T) {
-	variants := []struct {
-		name   string
-		mutate func(*MetropolisConfig)
-	}{
-		{"single", func(c *MetropolisConfig) { c.Mode = MetroSingle }},
-		{"batch", func(c *MetropolisConfig) { c.Mode = MetroBatch }},
-		{"sharded-1", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 1 }},
-		{"sharded-2", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 2 }},
-		{"sharded-4", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 4 }},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			stream := metroTestConfig(shardGuardFactory)
-			v.mutate(&stream)
-			materialized := stream
-			materialized.Materialize = true
-			a, err := RunMetropolis(stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunMetropolis(materialized)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMetroOutcome(t, v.name, a, b)
-			if a.Requested == 0 || a.Committed == 0 {
-				t.Fatalf("degenerate run: %+v", a)
-			}
-		})
-	}
-}
-
-// TestMetropolisStreamingIdentitySCC extends the pin to the
-// non-cell-local SCC ledger at a fixed shard count: per shard count the
-// decision stream must not depend on how arrivals are delivered.
-func TestMetropolisStreamingIdentitySCC(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		stream := metroTestConfig(shardLedgerFactory)
-		stream.Mode = MetroSharded
-		stream.Shards = shards
-		materialized := stream
-		materialized.Materialize = true
-		a, err := RunMetropolis(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunMetropolis(materialized)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMetroOutcome(t, "scc-sharded", a, b)
-	}
-}
-
 // TestMetropolisSteadyStateAllocs is the allocation gate on the
 // streaming wave loop: once the run has warmed through a full diurnal
 // day (population high-water reached, every scratch buffer at final

@@ -5,9 +5,32 @@ import (
 
 	"facs/internal/cac"
 	"facs/internal/cell"
+	"facs/internal/facs"
 	"facs/internal/scc"
 	"facs/internal/shard"
 )
+
+// shardGuardFactory hands every shard the same stateless guard-channel
+// baseline (cell-local: outcomes must be shard-count-invariant).
+func shardGuardFactory(shard.View) (cac.Controller, error) {
+	return cac.NewGuardChannel(8)
+}
+
+// shardFACSFactory shares one immutable exact FACS across all shards.
+var sharedFACSSystem = facs.Must()
+
+func shardFACSFactory(shard.View) (cac.Controller, error) {
+	return sharedFACSSystem, nil
+}
+
+// shardLedgerFactory builds a fresh SCC demand ledger per shard — NOT
+// cell-local: determinism holds per fixed shard count only.
+func shardLedgerFactory(v shard.View) (cac.Controller, error) {
+	return scc.NewLedger(scc.Config{
+		Network:     v.Network(),
+		Reservation: scc.ReservationFull,
+	})
+}
 
 // metroTestConfig is a small-but-busy scenario: 37 cells, a few thousand
 // decisions, handoffs and ticks exercised, finished in well under a
@@ -65,6 +88,7 @@ func TestMetropolisRepeatable(t *testing.T) {
 // TestMetropolisModeIdentity pins the cross-path contract for
 // cell-local controllers: batch == sharded at every shard count for
 // equal MaxBatch, and single == batch(MaxBatch 1) == sharded(MaxBatch 1).
+// Handoffs cross shards exactly when there is more than one.
 func TestMetropolisModeIdentity(t *testing.T) {
 	base := metroTestConfig(shardGuardFactory)
 
@@ -87,6 +111,9 @@ func TestMetropolisModeIdentity(t *testing.T) {
 			t.Fatalf("Shards = %d, want %d", res.Shards, shards)
 		}
 		sameMetroOutcome(t, res.Mode.String(), batch, res)
+		if (res.CrossShard > 0) != (shards > 1) {
+			t.Fatalf("shards-%d: %d of %d handoffs crossed shards", shards, res.CrossShard, res.Handoffs)
+		}
 	}
 
 	single := base

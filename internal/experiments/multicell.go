@@ -342,7 +342,7 @@ type multiCellRun struct {
 }
 
 // decide renders one admission decision through the batch pipeline, so
-// controllers with a native DecideBatch are exercised uniformly by the
+// controllers with a native DecideBatchInto are exercised uniformly by the
 // event-driven runner (single-request batches here, real batches in the
 // RunBatchAdmission sweep).
 func (r *multiCellRun) decide(req cac.Request) (cac.Decision, error) {

@@ -8,108 +8,61 @@ import (
 	"facs/internal/shard"
 )
 
-// elasticConfig is the sharded determinism workload with elastic
-// rebalancing switched on: blocks partition (so the diurnal drift of
-// the random workload actually skews shard loads), an epoch planned at
-// every barrier tick, ticks every other wave.
-func elasticConfig(factory func(shard.View) (cac.Controller, error)) ShardedConfig {
-	return ShardedConfig{
-		NewController:       factory,
-		Rings:               2, // 19 cells
-		Requests:            600,
-		Wave:                48,
-		MaxBatch:            16,
-		HoldWaves:           3,
-		HandoffEveryWaves:   2,
-		TickEveryWaves:      2,
-		Seed:                29,
-		Partition:           shard.PartitionBlocks,
-		RebalanceEveryTicks: 1,
-		Rebalance:           shard.PlannerConfig{MaxMoves: 4, Tolerance: 0.01},
-	}
-}
-
-// TestShardedRebalanceByteIdentity is the elastic-sharding acceptance
-// suite: with rebalancing planned at every tick barrier, cell-local
-// controllers must still produce decision and handoff streams
-// byte-identical at shard counts 1/2/4/8 to the inline sequential
-// replay — ownership moves, outcomes don't. The multi-shard runs must
-// actually apply epochs (otherwise the identity is vacuous).
-func TestShardedRebalanceByteIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		factory func(shard.View) (cac.Controller, error)
-	}{
-		{"guard", shardGuardFactory},
-		{"facs", shardFACSFactory},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := elasticConfig(tc.factory)
-			oracle := replaySharded(t, cfg)
-			if oracle.Handoffs == 0 || oracle.Released == 0 || oracle.Accepted == 0 {
-				t.Fatalf("degenerate workload: %+v", oracle)
-			}
-			results, err := RunShardedSweep(cfg, []int{1, 2, 4, 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sawEpoch := false
-			for _, res := range results {
-				label := tc.name + "/shards-" + string(rune('0'+res.Shards))
-				assertShardedEqual(t, res, oracle, label)
-				if res.Shards == 1 {
-					if res.Stats.Rebalances != 0 {
-						t.Fatalf("%s: single shard has nothing to rebalance: %+v", label, res.Stats)
-					}
-					continue
-				}
-				if res.Stats.Rebalances > 0 {
-					sawEpoch = true
-					if res.Stats.Migrations == 0 || res.Stats.MigratedCalls == 0 {
-						t.Fatalf("%s: epochs applied but nothing migrated: %+v", label, res.Stats)
-					}
-				}
-			}
-			if !sawEpoch {
-				t.Fatal("no multi-shard run ever applied a rebalance epoch — identity held vacuously")
-			}
-		})
-	}
-}
-
-// TestShardedSCCRebalanceByteIdentity extends the ghost-exchange
+// TestMetropolisSCCRebalanceIdentity extends the tick-aligned SCC
 // golden workload with an epoch planned at every barrier: rebalancing
 // an SCC shard migrates its ledger tracks and resets the exchange, so
 // the post-epoch absolute re-export must restore the exact global
-// demand view — tick-aligned decisions stay byte-identical at shard
-// counts 1/2/4/8 to the single sequential ledger, epochs and all.
-func TestShardedSCCRebalanceByteIdentity(t *testing.T) {
-	cfg := tickAlignedConfig(scc.ReservationFull)
-	cfg.Partition = shard.PartitionBlocks
-	cfg.RebalanceEveryTicks = 1
-	cfg.Rebalance = shard.PlannerConfig{MaxMoves: 4, Tolerance: 0.01}
-	oracle := replaySharded(t, cfg)
-	if oracle.Accepted == 0 || oracle.Accepted == oracle.Requested {
-		t.Fatalf("degenerate workload: %+v", oracle)
-	}
-	results, err := RunShardedSweep(cfg, []int{1, 2, 4, 8})
+// demand view — decisions stay byte-identical at shard counts 1/2/4/8
+// to the single sequential ledger, epochs and all.
+func TestMetropolisSCCRebalanceIdentity(t *testing.T) {
+	var ledgers []*scc.Ledger
+	cfg := tickAlignedMetroConfig(scc.ReservationFull, &ledgers)
+	oracle, err := RunMetropolis(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawEpoch := false
-	for _, res := range results {
-		label := "scc-rebalance/shards-" + string(rune('0'+res.Shards))
-		assertShardedEqual(t, res, oracle, label)
-		if res.Shards > 1 && res.Stats.Rebalances > 0 {
-			sawEpoch = true
-			if total := res.LedgerTotal(); total.MigratedOut == 0 || total.MigratedOut != total.MigratedIn {
-				t.Fatalf("%s: ledger tracks unbalanced across migration: out=%d in=%d",
-					label, total.MigratedOut, total.MigratedIn)
-			}
+	if oracle.Accepted == 0 || oracle.Accepted == oracle.Requested {
+		t.Fatalf("degenerate workload: %+v", oracle)
+	}
+	cfg.Mode = MetroSharded
+	cfg.Partition = shard.PartitionBlocks
+	cfg.RebalanceEveryTicks = 1
+	cfg.Rebalance = shard.PlannerConfig{MaxMoves: 4, Tolerance: 0.01}
+	for _, shards := range []int{1, 2, 4, 8} {
+		ledgers = nil
+		cfg.Shards = shards
+		res, err := RunMetropolis(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "scc-rebalance/shards-" + string(rune('0'+shards))
+		sameMetroOutcome(t, label, oracle, res)
+		assertEpochs(t, label, shards, res)
+		if total := ledgerTotal(ledgers); shards > 1 && (total.MigratedOut == 0 || total.MigratedOut != total.MigratedIn) {
+			t.Fatalf("%s: ledger tracks unbalanced across migration: out=%d in=%d",
+				label, total.MigratedOut, total.MigratedIn)
 		}
 	}
-	if !sawEpoch {
-		t.Fatal("no multi-shard run ever applied a rebalance epoch — identity held vacuously")
+}
+
+// assertEpochs checks a rebalancing run's epoch accounting: a single
+// shard has nothing to rebalance, while every multi-shard run applies
+// epochs that actually migrate cells and calls (otherwise an identity
+// over it would hold vacuously).
+func assertEpochs(t *testing.T, label string, shards int, res MetropolisResult) {
+	t.Helper()
+	if res.Epoch != uint64(res.Rebalances) {
+		t.Fatalf("%s: epoch %d after %d rebalances", label, res.Epoch, res.Rebalances)
+	}
+	if shards == 1 {
+		if res.Rebalances != 0 {
+			t.Fatalf("%s: single shard has nothing to rebalance: %+v", label, res)
+		}
+		return
+	}
+	if res.Rebalances == 0 || res.Migrations == 0 || res.MigratedCalls == 0 {
+		t.Fatalf("%s: no epoch migrated anything: %d rebalances, %d cells, %d calls",
+			label, res.Rebalances, res.Migrations, res.MigratedCalls)
 	}
 }
 
@@ -123,7 +76,6 @@ func TestMetropolisRebalanceIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawEpoch := false
 	for _, shards := range []int{1, 2, 4, 8} {
 		cfg := base
 		cfg.Mode = MetroSharded
@@ -135,16 +87,9 @@ func TestMetropolisRebalanceIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameMetroOutcome(t, "rebalance/shards-"+string(rune('0'+shards)), baseline, res)
-		if shards > 1 && res.Rebalances > 0 {
-			sawEpoch = true
-			if res.Epoch != uint64(res.Rebalances) || res.MigratedCalls < 0 {
-				t.Fatalf("shards-%d: inconsistent epoch accounting: %+v", shards, res)
-			}
-		}
-	}
-	if !sawEpoch {
-		t.Fatal("no multi-shard metropolis run ever applied a rebalance epoch")
+		label := "rebalance/shards-" + string(rune('0'+shards))
+		sameMetroOutcome(t, label, baseline, res)
+		assertEpochs(t, label, shards, res)
 	}
 }
 

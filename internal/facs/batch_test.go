@@ -91,7 +91,7 @@ func TestSystemDecideBatchMatchesSequential(t *testing.T) {
 func TestCompiledDecideBatchMatchesSequential(t *testing.T) {
 	cc := goldenCompiled(t)
 	reqs := batchWorkload(t, rand.New(rand.NewSource(5)), 512)
-	batch, err := cc.DecideBatch(reqs)
+	batch, err := cac.DecideAll(cc, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,12 @@ func TestCompiledDecideBatchMatchesSequential(t *testing.T) {
 // first invalid request.
 func TestDecideBatchValidation(t *testing.T) {
 	sys := Must()
-	if _, err := sys.DecideBatch([]cac.Request{{}}); err == nil {
-		t.Fatal("System.DecideBatch should reject invalid requests")
+	out := make([]cac.Decision, 1)
+	if err := sys.DecideBatchInto([]cac.Request{{}}, out); err == nil {
+		t.Fatal("System.DecideBatchInto should reject invalid requests")
 	}
 	cc := goldenCompiled(t)
-	if _, err := cc.DecideBatch([]cac.Request{{}}); err == nil {
-		t.Fatal("CompiledController.DecideBatch should reject invalid requests")
+	if err := cc.DecideBatchInto([]cac.Request{{}}, out); err == nil {
+		t.Fatal("CompiledController.DecideBatchInto should reject invalid requests")
 	}
 }

@@ -282,23 +282,14 @@ func (c *CompiledController) Evaluate(obs gps.Observation, requestBU, usedBU int
 	}, nil
 }
 
-// DecideBatch implements cac.BatchController with the same semantics as
-// per-request Decide calls against unchanged station state. The batch
-// path amortises the station-occupancy read across runs of requests
-// aimed at the same station (the common shape: many candidates
-// evaluated against one cell), on top of the per-query surface lookups
-// that already dominate the cost.
-func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
-	out := make([]cac.Decision, len(reqs))
-	if err := c.DecideBatchInto(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecideBatchInto implements cac.BatchIntoController: DecideBatch
-// semantics into a caller-provided buffer. Surface lookups allocate
-// nothing, so the fast path (no guard-band fallback) is allocation-free.
+// DecideBatchInto implements cac.BatchController with the same
+// semantics as per-request Decide calls against unchanged station
+// state. The batch path amortises the station-occupancy read across
+// runs of requests aimed at the same station (the common shape: many
+// candidates evaluated against one cell), on top of the per-query
+// surface lookups that already dominate the cost. Surface lookups
+// allocate nothing, so the fast path (no guard-band fallback) is
+// allocation-free.
 //
 //facs:hotpath
 func (c *CompiledController) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {

@@ -229,21 +229,11 @@ func (s *System) Evaluate(obs gps.Observation, requestBU, usedBU int, handoff bo
 	return ev, nil
 }
 
-// DecideBatch implements cac.BatchController. The exact engines have
-// no per-request state to amortise (each Mamdani inference allocates
-// internally), so this is a plain sequential pass; the method declares
-// batch capability so the pipeline treats every FACS variant uniformly.
-func (s *System) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
-	out := make([]cac.Decision, len(reqs))
-	if err := s.DecideBatchInto(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecideBatchInto implements cac.BatchIntoController: DecideBatch
-// semantics into a caller-provided buffer (the Mamdani inference still
-// allocates internally; the buffer only removes the per-batch slice).
+// DecideBatchInto implements cac.BatchController. The exact engines
+// have no per-request state to amortise (each Mamdani inference
+// allocates internally), so this is a plain sequential pass; the method
+// declares batch capability so the pipeline treats every FACS variant
+// uniformly.
 //
 //facs:hotpath
 func (s *System) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {

@@ -133,16 +133,15 @@ type Ledger struct {
 }
 
 var (
-	_ cac.Controller          = (*Ledger)(nil)
-	_ cac.BatchController     = (*Ledger)(nil)
-	_ cac.BatchIntoController = (*Ledger)(nil)
-	_ cac.Observer            = (*Ledger)(nil)
-	_ cac.StateUpdater        = (*Ledger)(nil)
-	_ cac.Ticker              = (*Ledger)(nil)
-	_ cac.DemandExchanger     = (*Ledger)(nil)
-	_ cac.CellMigrator        = (*Ledger)(nil)
-	_ cac.InterestScoped      = (*Ledger)(nil)
-	_ cac.ExchangeResetter    = (*Ledger)(nil)
+	_ cac.Controller       = (*Ledger)(nil)
+	_ cac.BatchController  = (*Ledger)(nil)
+	_ cac.Observer         = (*Ledger)(nil)
+	_ cac.StateUpdater     = (*Ledger)(nil)
+	_ cac.Ticker           = (*Ledger)(nil)
+	_ cac.DemandExchanger  = (*Ledger)(nil)
+	_ cac.CellMigrator     = (*Ledger)(nil)
+	_ cac.InterestScoped   = (*Ledger)(nil)
+	_ cac.ExchangeResetter = (*Ledger)(nil)
 )
 
 // DemandDelta is the demand-exchange payload (see cac.DemandDelta).
@@ -650,22 +649,12 @@ func (l *Ledger) Decide(req cac.Request) (cac.Decision, error) {
 	return cac.Accept, nil
 }
 
-// DecideBatch implements cac.BatchController. The ledger keeps its
+// DecideBatchInto implements cac.BatchController. The ledger keeps its
 // scratch buffers and demand matrix on the controller, so per-request
-// decisions are already the pure O(horizon x cluster-cells) read path;
-// the method exists to declare batch capability to the pipeline, not
-// to add amortisation beyond what Decide carries.
-func (l *Ledger) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
-	out := make([]cac.Decision, len(reqs))
-	if err := l.DecideBatchInto(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecideBatchInto implements cac.BatchIntoController: DecideBatch
-// semantics into a caller-provided buffer, allocation-free (the decision
-// path reads the matrix through controller-resident scratch).
+// decisions are already the pure, allocation-free O(horizon x
+// cluster-cells) read path; the method exists to declare batch
+// capability to the pipeline, not to add amortisation beyond what
+// Decide carries.
 //
 //facs:hotpath
 func (l *Ledger) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {

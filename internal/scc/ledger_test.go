@@ -294,7 +294,7 @@ func TestLedgerDecideBatch(t *testing.T) {
 	}
 	// Invalid requests abort the batch.
 	bad := append(append([]cac.Request(nil), reqs[:3]...), cac.Request{})
-	if _, err := ledger.DecideBatch(bad); err == nil {
+	if err := ledger.DecideBatchInto(bad, make([]cac.Decision, len(bad))); err == nil {
 		t.Fatal("invalid request should abort the batch")
 	}
 }

@@ -23,7 +23,7 @@ func benchSetup(b *testing.B) (*cell.Network, cac.Controller, []cac.Request) {
 // BenchmarkStreamingServe compares the micro-batched service against
 // the raw batch pipeline it wraps. The acceptance bar from the
 // streaming-service issue: at batch >= 64, the service stays within 2x
-// of raw DecideBatch throughput (the wave path is within a few percent;
+// of raw DecideBatchInto throughput (the wave path is within a few percent;
 // the per-request Submit path additionally pays one channel round trip
 // per request).
 func BenchmarkStreamingServe(b *testing.B) {

@@ -12,7 +12,7 @@
 // operations — Tick, Release, UpdateState, Do — as first-class queue
 // items. The loop coalesces consecutive single requests until MaxBatch
 // requests are pending or MaxDelay has passed since the first one, then
-// decides the micro-batch in one DecideBatch call and fans the
+// decides the micro-batch in one DecideBatchInto call and fans the
 // responses back with per-request latency. Because decisions, commits,
 // ticks and state updates all execute in that one goroutine in queue
 // order, stateful controllers such as the SCC demand ledger keep their
@@ -29,8 +29,8 @@
 // batches; timing-dependent boundaries then matter, so closed-loop
 // drivers that need reproducibility submit waves (SubmitAll), which
 // are chunked at deterministic MaxBatch boundaries only. The
-// experiments.RunStreaming load generator and the determinism suite in
-// serve_test.go pin both contracts.
+// experiments.RunMetropolis wave loop relies on this, and the
+// determinism suite in serve_test.go pins both contracts.
 //
 // # Entry points
 //

@@ -34,7 +34,7 @@ type Config struct {
 	// inside the loop with identical outcomes. Required.
 	Controller cac.Controller
 
-	// MaxBatch caps how many requests one DecideBatch call may carry
+	// MaxBatch caps how many requests one DecideBatchInto call may carry
 	// (default DefaultMaxBatch). Waves larger than MaxBatch are split
 	// into deterministic MaxBatch-sized chunks.
 	MaxBatch int
@@ -66,7 +66,7 @@ type Response struct {
 	// Committed reports that the service allocated the call on its
 	// station (Commit mode only). An accepted request can fail to
 	// commit when earlier accepts in its own micro-batch — decided
-	// against the same snapshot, per the DecideBatch contract — already
+	// against the same snapshot, per the BatchController contract — already
 	// claimed the remaining bandwidth; Err then carries the cause.
 	Committed bool
 	// Err is the decision or commit error, if any. A decision error
@@ -92,7 +92,7 @@ type Stats struct {
 	// Accepted / Rejected split Decided by outcome; Committed counts
 	// accepted requests actually allocated (Commit mode).
 	Accepted, Rejected, Committed int64
-	// Batches counts DecideBatch calls; MaxBatch is the largest batch
+	// Batches counts DecideBatchInto calls; MaxBatch is the largest batch
 	// realised; Waves counts SubmitAll calls.
 	Batches, Waves int64
 	MaxBatch       int

@@ -173,13 +173,14 @@ func replayWave(t *testing.T, ctrl cac.Controller, reqs []cac.Request, maxBatch 
 
 // TestCommitWavesMatchSequentialReplay pins Commit-mode determinism:
 // waves chunk at MaxBatch boundaries only, so the streamed closed loop
-// equals a sequential replay with the same chunking, and two identical
-// runs agree exactly.
+// equals a sequential replay with the same chunking for every batching
+// delay — the default, greedy (-1) and a slow 2 ms batcher. Timing
+// knobs must not leak into outcomes.
 func TestCommitWavesMatchSequentialReplay(t *testing.T) {
 	const maxBatch = 32
-	run := func() ([]Response, *cell.Network) {
+	run := func(maxDelay time.Duration) ([]Response, *cell.Network) {
 		net := testNetwork(t, 5)
-		s, err := New(Config{Controller: cac.CompleteSharing{}, MaxBatch: maxBatch, Commit: true})
+		s, err := New(Config{Controller: cac.CompleteSharing{}, MaxBatch: maxBatch, MaxDelay: maxDelay, Commit: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,30 +200,28 @@ func TestCommitWavesMatchSequentialReplay(t *testing.T) {
 		return all, net
 	}
 
-	got1, net1 := run()
-	got2, _ := run()
-
-	// Oracle on a third identical network.
-	net3 := testNetwork(t, 5)
-	reqs := genRequests(t, net3, 23, 300)
+	// Oracle on its own identical network.
+	oracleNet := testNetwork(t, 5)
+	reqs := genRequests(t, oracleNet, 23, 300)
 	var want []Response
 	for lo := 0; lo < len(reqs); lo += 100 {
 		want = append(want, replayWave(t, cac.CompleteSharing{}, reqs[lo:lo+100], maxBatch)...)
 	}
 
-	for i := range want {
-		if got1[i].Decision != want[i].Decision || got1[i].Committed != want[i].Committed {
-			t.Fatalf("request %d: streamed (%v, committed=%v), oracle (%v, committed=%v)",
-				i, got1[i].Decision, got1[i].Committed, want[i].Decision, want[i].Committed)
+	for _, maxDelay := range []time.Duration{0, -1, 2 * time.Millisecond} {
+		got, net := run(maxDelay)
+		for i := range want {
+			if got[i].Decision != want[i].Decision || got[i].Committed != want[i].Committed {
+				t.Fatalf("MaxDelay %v, request %d: streamed (%v, committed=%v), oracle (%v, committed=%v)",
+					maxDelay, i, got[i].Decision, got[i].Committed, want[i].Decision, want[i].Committed)
+			}
 		}
-		if got1[i].Decision != got2[i].Decision || got1[i].Committed != got2[i].Committed {
-			t.Fatalf("request %d: two identical runs disagree", i)
-		}
-	}
-	// The service's committed state must match the oracle's network.
-	for i, bs := range net1.Stations() {
-		if bs.Used() != net3.Stations()[i].Used() {
-			t.Fatalf("station %d: streamed occupancy %d, oracle %d", i, bs.Used(), net3.Stations()[i].Used())
+		// The service's committed state must match the oracle's network.
+		for i, bs := range net.Stations() {
+			if bs.Used() != oracleNet.Stations()[i].Used() {
+				t.Fatalf("MaxDelay %v, station %d: streamed occupancy %d, oracle %d",
+					maxDelay, i, bs.Used(), oracleNet.Stations()[i].Used())
+			}
 		}
 	}
 }

@@ -55,8 +55,7 @@
 // the ghost suites pin sharded SCC decisions byte-identical at shard
 // counts 1/2/4/8 to a sequential single-ledger replay
 // (internal/experiments/ghost_test.go) and quantify the free-running
-// gap. Config.DisableExchange restores the old partitioned-visibility
-// model; Engine.Exchanging reports the active regime, and Stats counts
+// gap. Engine.Exchanging reports the active regime, and Stats counts
 // exchange rounds and fanned-out demand rows.
 //
 // # Elastic rebalancing
@@ -96,6 +95,7 @@
 // applies an epoch on demand; Epoch, ShardOf and View read the current
 // ownership; Stats aggregates per-shard serve.Stats (including merged
 // latency percentiles) with handoff, exchange and rebalance counters.
-// experiments.RunSharded drives the closed loop; cmd/facs-serve wires
-// the engine behind -shards / -partition / -rebalance-ticks.
+// experiments.RunMetropolis (MetroSharded) drives the closed loop;
+// cmd/facs-serve wires the engine behind -shards / -partition /
+// -rebalance-ticks.
 package shard

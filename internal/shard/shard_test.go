@@ -3,6 +3,7 @@ package shard
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"facs/internal/cac"
 	"facs/internal/cell"
@@ -212,7 +213,9 @@ func replayWaves(t *testing.T, ctrl cac.Controller, waves [][]cac.Request, maxBa
 // TestCommittedWavesShardCountInvariant is the heart of the
 // determinism contract: with Commit on, the full per-request outcome
 // stream (decision AND committed flag) is byte-identical for shard
-// counts 1/2/4/8 and equals the inline sequential replay.
+// counts 1/2/4/8 and equals the inline sequential replay. Timing knobs
+// must not leak into outcomes: greedy (-1) and slow 2 ms batching
+// delays reproduce it too.
 func TestCommittedWavesShardCountInvariant(t *testing.T) {
 	const rings, seed, total, waveLen, maxBatch = 2, 21, 600, 96, 32
 
@@ -226,11 +229,14 @@ func TestCommittedWavesShardCountInvariant(t *testing.T) {
 	}
 	want := replayWaves(t, facs.Must(), waves, maxBatch)
 
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, tc := range []struct {
+		shards   int
+		maxDelay time.Duration
+	}{{1, 0}, {2, 0}, {4, 0}, {8, 0}, {4, -1}, {4, 2 * time.Millisecond}} {
 		net := testNetwork(t, rings)
 		reqs := genRequests(t, net, seed, total)
 		e, err := New(Config{
-			Network: net, Shards: shards, MaxBatch: maxBatch, Commit: true,
+			Network: net, Shards: tc.shards, MaxBatch: maxBatch, MaxDelay: tc.maxDelay, Commit: true,
 			NewController: sharedFACS(t),
 		})
 		if err != nil {
@@ -250,18 +256,18 @@ func TestCommittedWavesShardCountInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d outcomes, want %d", shards, len(got), len(want))
+			t.Fatalf("shards=%d delay=%v: %d outcomes, want %d", tc.shards, tc.maxDelay, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("shards=%d: outcome %d is %+v, want %+v", shards, i, got[i], want[i])
+				t.Fatalf("shards=%d delay=%v: outcome %d is %+v, want %+v", tc.shards, tc.maxDelay, i, got[i], want[i])
 			}
 		}
 		// Station state must agree with the oracle network cell by cell.
 		oracleStations := oracleNet.Stations()
 		for i, bs := range net.Stations() {
 			if bs.Used() != oracleStations[i].Used() {
-				t.Fatalf("shards=%d: station %v used %d, oracle %d", shards, bs.Hex(), bs.Used(), oracleStations[i].Used())
+				t.Fatalf("shards=%d delay=%v: station %v used %d, oracle %d", tc.shards, tc.maxDelay, bs.Hex(), bs.Used(), oracleStations[i].Used())
 			}
 		}
 	}
@@ -447,9 +453,8 @@ func TestTickBarrierGhostExchange(t *testing.T) {
 	}
 }
 
-// TestExchangeRequiresDistinctInstances covers the two ways the
-// exchange stays off: a shared controller instance (which would ingest
-// its own exports) and the explicit DisableExchange escape hatch.
+// TestExchangeRequiresDistinctInstances pins that a shared controller
+// instance (which would ingest its own exports) keeps the exchange off.
 func TestExchangeRequiresDistinctInstances(t *testing.T) {
 	net := testNetwork(t, 1)
 	shared := &fakeExchanger{}
@@ -468,22 +473,6 @@ func TestExchangeRequiresDistinctInstances(t *testing.T) {
 	}
 	if st := e.Stats(); st.Exchanges != 0 || !strings.Contains(st.String(), "handoffs 0") || strings.Contains(st.String(), "ghost") {
 		t.Fatalf("exchange ran on a shared instance: %+v (%s)", st, st)
-	}
-
-	disabled, err := New(Config{Network: net, Shards: 3, DisableExchange: true,
-		NewController: func(v View) (cac.Controller, error) { return &fakeExchanger{index: v.Index()}, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disabled.Close()
-	if disabled.Exchanging() {
-		t.Fatal("DisableExchange must keep the exchange off")
-	}
-	if err := disabled.Tick(1); err != nil {
-		t.Fatal(err)
-	}
-	if st := disabled.Stats(); st.Exchanges != 0 {
-		t.Fatalf("disabled engine exchanged: %+v", st)
 	}
 }
 

@@ -44,3 +44,47 @@ func TestPublicMetropolis(t *testing.T) {
 		t.Fatalf("sharded counters diverged: %+v vs %+v", sharded, batch)
 	}
 }
+
+// TestPublicGhostExchange smokes the demand-exchange surface: SCC
+// ledgers built per shard enable the tick-barrier exchange, the
+// metropolis result reports the fanned ghost rows, and every shard's
+// ledger counters record the exports and ghost applies.
+func TestPublicGhostExchange(t *testing.T) {
+	var _ facs.DemandExchangingController = (*facs.SCCLedger)(nil)
+	var ledgers []*facs.SCCLedger
+	res, err := facs.RunMetropolis(facs.MetropolisConfig{
+		NewController: func(v facs.ShardView) (facs.Controller, error) {
+			l, err := facs.NewSCCLedger(facs.SCCConfig{
+				Network:     v.Network(),
+				Reservation: facs.SCCReservationFull,
+			})
+			ledgers = append(ledgers, l)
+			return l, err
+		},
+		Mode:              facs.MetroSharded,
+		Shards:            4,
+		Rings:             2,
+		TargetCalls:       200,
+		Waves:             12,
+		WavesPerDay:       24,
+		TickEveryWaves:    2,
+		HandoffEveryWaves: 1 << 30,
+		Seed:              9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GhostRows == 0 {
+		t.Fatalf("exchange fanned no ghost rows: %+v", res)
+	}
+	if len(ledgers) != res.Shards {
+		t.Fatalf("built %d ledgers for %d shards", len(ledgers), res.Shards)
+	}
+	var total facs.SCCLedgerStats
+	for _, l := range ledgers {
+		total = total.Add(l.Snapshot())
+	}
+	if total.Exports == 0 || total.GhostApplies == 0 {
+		t.Fatalf("ledger counters missed the exchange: %+v", total)
+	}
+}

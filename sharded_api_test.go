@@ -61,73 +61,3 @@ func TestPublicShardedEngine(t *testing.T) {
 		t.Fatalf("single view owns %d cells, want %d", v.NumCells(), netw.NumCells())
 	}
 }
-
-// TestPublicGhostExchange smokes the demand-exchange surface: SCC
-// ledgers built per shard enable the tick-barrier exchange, the engine
-// reports its activity, and the closed loop surfaces the per-shard
-// ledger snapshots.
-func TestPublicGhostExchange(t *testing.T) {
-	var _ facs.DemandExchangingController = (*facs.SCCLedger)(nil)
-	res, err := facs.RunSharded(facs.ShardedConfig{
-		NewController: func(v facs.ShardView) (facs.Controller, error) {
-			return facs.NewSCCLedger(facs.SCCConfig{
-				Network:     v.Network(),
-				Reservation: facs.SCCReservationFull,
-			})
-		},
-		Shards:            4,
-		Rings:             2,
-		Requests:          200,
-		Wave:              25,
-		TickEveryWaves:    2,
-		HandoffEveryWaves: 1 << 30,
-		Seed:              9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CellLocal {
-		t.Fatal("SCC shards must not report cell-local")
-	}
-	if res.Stats.Exchanges == 0 || res.Stats.GhostRows == 0 {
-		t.Fatalf("exchange did not run: %+v", res.Stats)
-	}
-	if len(res.Ledgers) != res.Shards {
-		t.Fatalf("got %d ledger snapshots for %d shards", len(res.Ledgers), res.Shards)
-	}
-	var total facs.SCCLedgerStats
-	for _, st := range res.Ledgers {
-		total = total.Add(st)
-	}
-	if total.Exports == 0 || total.GhostApplies == 0 {
-		t.Fatalf("ledger counters missed the exchange: %+v", total)
-	}
-}
-
-func TestPublicRunShardedSweep(t *testing.T) {
-	cfg := facs.ShardedConfig{
-		NewController: func(facs.ShardView) (facs.Controller, error) {
-			return facs.NewGuardChannel(8)
-		},
-		Requests: 200,
-		Wave:     32,
-		Seed:     3,
-	}
-	results, err := facs.RunShardedSweep(cfg, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Requested != results[0].Requested ||
-			results[i].Accepted != results[0].Accepted ||
-			results[i].Handoffs != results[0].Handoffs {
-			t.Fatalf("sweep entries diverge: %+v vs %+v", results[i], results[0])
-		}
-	}
-	if !results[1].CellLocal || results[1].Shards != 4 {
-		t.Fatalf("entry: %+v", results[1])
-	}
-}
