@@ -262,6 +262,7 @@ func BenchmarkAblationGPSNoise(b *testing.B) {
 // BenchmarkFLC1Evaluate times one prediction inference (42 rules,
 // centroid defuzzification).
 func BenchmarkFLC1Evaluate(b *testing.B) {
+	b.ReportAllocs()
 	eng, err := ifacs.NewFLC1(ifacs.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
@@ -276,6 +277,7 @@ func BenchmarkFLC1Evaluate(b *testing.B) {
 
 // BenchmarkFLC2Evaluate times one admission inference (27 rules).
 func BenchmarkFLC2Evaluate(b *testing.B) {
+	b.ReportAllocs()
 	eng, err := ifacs.NewFLC2(ifacs.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
@@ -290,6 +292,7 @@ func BenchmarkFLC2Evaluate(b *testing.B) {
 
 // BenchmarkFACSEvaluate times the full two-stage decision.
 func BenchmarkFACSEvaluate(b *testing.B) {
+	b.ReportAllocs()
 	system := facs.MustSystem()
 	obs := facs.Observation{SpeedKmh: 45, AngleDeg: 20, DistanceKm: 4}
 	b.ResetTimer()
@@ -394,6 +397,7 @@ func BenchmarkCompiledFACSEvaluateMixed(b *testing.B) {
 // BenchmarkCompiledSurfaceBuild times the one-off compilation of both
 // decision surfaces (the cost the fast path amortises).
 func BenchmarkCompiledSurfaceBuild(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := facs.NewCompiledSystem(33); err != nil {
 			b.Fatal(err)

@@ -187,8 +187,9 @@ func (o simOptions) seeds() []int64 {
 // buildFACS constructs the FACS under test: exact by default, the
 // compiled fast path with -compiled (a custom accept threshold or grid
 // compiles a dedicated instance; -surface-cache loads persisted
-// surfaces instead of recompiling). Compiled construction costs seconds
-// on a cache miss, so progress and elapsed time are reported on stderr.
+// surfaces instead of recompiling). Compiled construction dominates
+// short runs on a cache miss, so progress and elapsed time are reported
+// on stderr.
 func buildFACS(o simOptions) (facs.Controller, error) {
 	if !o.compiled {
 		return facs.NewSystem(facs.WithAcceptThreshold(o.threshold))
@@ -306,7 +307,7 @@ func networkFactory(o simOptions) (func(*facs.Network) (facs.Controller, error),
 	switch o.controller {
 	case "facs":
 		// Build once and share across replications: the FACS is
-		// stateless, and the compiled variant costs seconds to build.
+		// stateless, and the compiled variant is costly to build.
 		ctrl, err := buildFACS(o)
 		if err != nil {
 			return nil, err
@@ -419,8 +420,24 @@ func runMetropolis(o simOptions) error {
 		close(stop)
 	}()
 
+	// Compiled controllers count their exact fallbacks since
+	// construction. Record each one's counters when a shard first gets
+	// it, so the summary reports this run's deltas and a controller
+	// shared across shards counts once.
+	compiledBase := map[*facs.CompiledSystem][2]int64{}
+	newController := func(v facs.ShardView) (facs.Controller, error) {
+		ctrl, err := factory(v.Network())
+		if cc, ok := ctrl.(*facs.CompiledSystem); ok {
+			if _, seen := compiledBase[cc]; !seen {
+				fast, exact := cc.Stats()
+				compiledBase[cc] = [2]int64{fast, exact}
+			}
+		}
+		return ctrl, err
+	}
+
 	res, err := facs.RunMetropolis(facs.MetropolisConfig{
-		NewController:        func(v facs.ShardView) (facs.Controller, error) { return factory(v.Network()) },
+		NewController:        newController,
 		Mode:                 mode,
 		Shards:               o.shards,
 		Partition:            partition,
@@ -456,6 +473,19 @@ func runMetropolis(o simOptions) error {
 	fmt.Printf("population    peak %d concurrent calls, final %d\n", res.PeakConcurrent, res.FinalActive)
 	fmt.Printf("throughput    %.0f decisions/s (%d decisions in %v)\n",
 		res.DecisionsPerSec(), res.Decisions(), res.Elapsed.Round(time.Millisecond))
+	if len(compiledBase) > 0 {
+		var fast, exact int64
+		for cc, base := range compiledBase { //facs:orderless integer sums; addition order is unobservable
+			f, e := cc.Stats()
+			fast += f - base[0]
+			exact += e - base[1]
+		}
+		var pct float64
+		if total := fast + exact; total > 0 {
+			pct = 100 * float64(exact) / float64(total)
+		}
+		fmt.Printf("fallbacks     %d exact of %d compiled decisions (%.1f%%)\n", exact, fast+exact, pct)
+	}
 	if res.Rebalances > 0 {
 		fmt.Printf("rebalances    %d epochs (%d cells, %d calls moved)\n",
 			res.Rebalances, res.Migrations, res.MigratedCalls)

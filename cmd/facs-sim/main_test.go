@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,6 +149,55 @@ func TestRunMetropolisCLI(t *testing.T) {
 	if err := run(append(small, "-metro-mode", "single", "-controller", "cs")); err != nil {
 		t.Fatal(err)
 	}
+	// The compiled FACS reports its exact fallbacks. Both runs share the
+	// process-wide compiled controller, so equal lines show the counts
+	// are per-run deltas and that two shards sharing it count it once.
+	// A controller without fallback counters prints no such line.
+	fallbacks := func(args ...string) string {
+		out := captureStdout(t, func() error { return run(append(small, args...)) })
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "fallbacks     ") {
+				return line
+			}
+		}
+		return ""
+	}
+	batch := fallbacks("-compiled")
+	if !strings.HasSuffix(batch, "%)") || !strings.Contains(batch, " compiled decisions (") {
+		t.Fatalf("-compiled: fallbacks line = %q", batch)
+	}
+	if sharded := fallbacks("-compiled", "-metro-mode", "sharded", "-shards", "2"); sharded != batch {
+		t.Fatalf("sharded fallbacks line %q, batch %q", sharded, batch)
+	}
+	if line := fallbacks("-controller", "guard"); line != "" {
+		t.Fatalf("guard printed %q", line)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := fn()
+	os.Stdout = saved
+	w.Close()
+	out := <-done
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
 }
 
 func TestRunMetropolisBadFlags(t *testing.T) {

@@ -119,8 +119,10 @@
 //
 // # Surface persistence
 //
-// Compiling the default surfaces costs seconds, which a long-lived
-// service should pay once, not on every restart:
+// Compiling the default surfaces runs hundreds of thousands of exact
+// inferences. Decoding a cached copy takes milliseconds, a small
+// fraction of that, so a long-lived service should compile once, not on
+// every restart:
 //
 //	cc, info, err := facs.NewCompiledSystemCached(0, cacheDir)
 //

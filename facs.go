@@ -84,9 +84,9 @@ const DefaultSurfaceGridSize = ifacs.DefaultSurfaceGridSize
 
 // NewCompiledSystem builds the exact System for the options and
 // compiles it into the lookup-table fast path (gridSize <= 0 selects
-// DefaultSurfaceGridSize). Compilation costs seconds; amortise it over
-// many decisions, or use DefaultCompiledSystem for the shared default
-// instance.
+// DefaultSurfaceGridSize). Compilation runs hundreds of thousands of
+// exact inferences; amortise it over many decisions, or use
+// DefaultCompiledSystem for the shared default instance.
 func NewCompiledSystem(gridSize int, opts ...SystemOption) (*CompiledSystem, error) {
 	return ifacs.NewCompiled(gridSize, opts...)
 }

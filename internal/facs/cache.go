@@ -126,8 +126,8 @@ func writeSurfaces(path string, c *CompiledController, hash uint64) error {
 // cache: if dir holds a valid entry for this configuration (validated
 // by format version, config+grid hash and checksum), both surfaces are
 // decoded in milliseconds and no compilation happens; otherwise the
-// surfaces are compiled exactly as CompileSystem does (seconds) and the
-// entry is written for the next start. A stale or corrupt entry is
+// surfaces are compiled exactly as CompileSystem does (many times the
+// decode cost) and the entry is written for the next start. A stale or corrupt entry is
 // recompiled and overwritten, never trusted. Cache write failures are
 // not fatal: the freshly compiled controller is returned alongside the
 // write error so a read-only cache directory degrades to plain

@@ -189,9 +189,10 @@ var defaultCompiled struct {
 
 // DefaultCompiled returns a process-wide shared CompiledController for
 // the default configuration, compiling it on first use. Surface
-// compilation costs seconds, so callers that repeatedly need the
-// default compiled FACS (experiment replications, benchmarks, tests)
-// should share this instance; it is safe for concurrent use.
+// compilation runs hundreds of thousands of exact inferences, so callers
+// that repeatedly need the default compiled FACS (experiment
+// replications, benchmarks, tests) should share this instance; it is
+// safe for concurrent use.
 func DefaultCompiled() (*CompiledController, error) {
 	defaultCompiled.once.Do(func() {
 		defaultCompiled.ctrl, defaultCompiled.err = NewCompiled(0)

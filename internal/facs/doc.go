@@ -23,11 +23,12 @@
 //
 // # Surface persistence
 //
-// Compiling the default surfaces costs seconds, so
-// CompileSystemCached/NewCompiledCached put a load-or-compile cache in
-// front: entries are versioned binary blobs (fuzzy.EncodeSurface)
-// validated by a config+grid hash and a checksum, making a warm
-// service restart milliseconds instead of seconds. CompileCount
+// Compiling the default surfaces runs hundreds of thousands of exact
+// inferences, so CompileSystemCached/NewCompiledCached put a
+// load-or-compile cache in front: entries are versioned binary blobs
+// (fuzzy.EncodeSurface) validated by a config+grid hash and a checksum,
+// and decoding one takes milliseconds, a small fraction of a compile.
+// CompileCount
 // exposes the process-wide compilation counter the cache tests assert
 // against.
 //

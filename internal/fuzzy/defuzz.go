@@ -38,12 +38,13 @@ func (Centroid) Defuzzify(agg *AggregatedOutput, resolution int) (float64, error
 	if resolution < 2 {
 		resolution = 2
 	}
+	var buf [sampleStack]float64
+	ms := agg.sample(buf[:0], resolution)
 	min, max := agg.Variable().Universe()
 	step := (max - min) / float64(resolution-1)
 	var num, den float64
-	for i := 0; i < resolution; i++ {
-		y := min + float64(i)*step
-		m := agg.At(y)
+	for i, m := range ms {
+		y := samplePoint(min, step, i)
 		num += y * m
 		den += m
 	}
@@ -70,22 +71,22 @@ func (Bisector) Defuzzify(agg *AggregatedOutput, resolution int) (float64, error
 	if resolution < 2 {
 		resolution = 2
 	}
-	min, max := agg.Variable().Universe()
-	step := (max - min) / float64(resolution-1)
-	samples := make([]float64, resolution)
+	var buf [sampleStack]float64
+	ms := agg.sample(buf[:0], resolution)
 	var total float64
-	for i := range samples {
-		samples[i] = agg.At(min + float64(i)*step)
-		total += samples[i]
+	for _, m := range ms {
+		total += m
 	}
 	if total == 0 {
 		return 0, fmt.Errorf("fuzzy: bisector is undefined: aggregated area is zero at resolution %d", resolution)
 	}
+	min, max := agg.Variable().Universe()
+	step := (max - min) / float64(resolution-1)
 	var acc float64
-	for i, m := range samples {
+	for i, m := range ms {
 		acc += m
 		if acc >= total/2 {
-			return min + float64(i)*step, nil
+			return samplePoint(min, step, i), nil
 		}
 	}
 	return max, nil
@@ -108,14 +109,15 @@ func (MeanOfMaxima) Defuzzify(agg *AggregatedOutput, resolution int) (float64, e
 	if resolution < 2 {
 		resolution = 2
 	}
+	var buf [sampleStack]float64
+	ms := agg.sample(buf[:0], resolution)
 	min, max := agg.Variable().Universe()
 	step := (max - min) / float64(resolution-1)
 	const eps = 1e-12
 	var best, sum float64
 	var count int
-	for i := 0; i < resolution; i++ {
-		y := min + float64(i)*step
-		m := agg.At(y)
+	for i, m := range ms {
+		y := samplePoint(min, step, i)
 		switch {
 		case m > best+eps:
 			best, sum, count = m, y, 1

@@ -21,6 +21,7 @@ type Engine struct {
 	defuzz      Defuzzifier
 	resolution  int
 	totalTerms  int
+	samples     *sampleTable // output-term memberships at the resolution's sample points
 }
 
 type clauseRef struct {
@@ -102,6 +103,7 @@ func NewEngine(inputs []*Variable, output *Variable, rules []Rule, opts ...Optio
 	if err := output.CheckCoverage(e.resolution); err != nil {
 		return nil, err
 	}
+	e.samples = newSampleTable(output, e.resolution)
 	e.rules = make([]compiledRule, 0, len(rules))
 	for i, r := range rules {
 		cr, err := e.compileRule(r)
@@ -230,6 +232,7 @@ func (e *Engine) Infer(vals []float64) (*AggregatedOutput, error) {
 		out:         e.output,
 		strengths:   make([]float64, e.output.NumTerms()),
 		implication: e.implication,
+		table:       e.samples,
 	}
 	for _, r := range e.rules {
 		w := r.weight

@@ -84,6 +84,7 @@ type AggregatedOutput struct {
 	out         *Variable
 	strengths   []float64 // per output term, max across fired rules
 	implication Implication
+	table       *sampleTable // the engine's output-term samples; nil outside an engine
 }
 
 // Variable returns the output linguistic variable.
@@ -117,4 +118,88 @@ func (a *AggregatedOutput) Empty() bool {
 		}
 	}
 	return true
+}
+
+// sampleStack is the largest resolution whose aggregated samples the
+// integral defuzzifiers keep on the stack; it covers the default 201.
+const sampleStack = 256
+
+// samplePoint returns the i-th integral-defuzzification sample point of a
+// universe starting at min. The sample table and every defuzzifier compute
+// their points through it, so both see the same floats on every GOARCH.
+func samplePoint(min, step float64, i int) float64 { return min + float64(i)*step }
+
+// termSamples is one output term's membership at the sample points
+// [lo, lo+len(m)). Every sample outside that range is <= 0, which no
+// implication of a positive strength lifts above the aggregation's +0.
+type termSamples struct {
+	lo int
+	m  []float64
+}
+
+// sampleTable holds every output term's membership at the sample points
+// of one resolution. It is built once per engine and never written after.
+type sampleTable struct {
+	resolution int
+	terms      []termSamples
+}
+
+func newSampleTable(out *Variable, resolution int) *sampleTable {
+	min, max := out.Universe()
+	step := (max - min) / float64(resolution-1)
+	t := &sampleTable{resolution: resolution, terms: make([]termSamples, len(out.terms))}
+	row := make([]float64, resolution)
+	for k, term := range out.terms {
+		lo, hi := resolution, 0
+		for i := range row {
+			row[i] = term.MF.Membership(samplePoint(min, step, i))
+			if !(row[i] <= 0) { // NaN counts: clip implication maps it to the strength
+				if lo > i {
+					lo = i
+				}
+				hi = i + 1
+			}
+		}
+		if lo < hi {
+			t.terms[k] = termSamples{lo: lo, m: append([]float64(nil), row[lo:hi]...)}
+		}
+	}
+	return t
+}
+
+// sample returns the aggregated membership at each of resolution sample
+// points, in buf when it has the capacity. With the engine's table at this
+// resolution it max-folds each fired term over its nonzero samples only;
+// otherwise it evaluates At point by point. Min, max and product are exact
+// and a skipped sample can never beat the fold's +0 start, so both paths
+// return the same bits.
+func (a *AggregatedOutput) sample(buf []float64, resolution int) []float64 {
+	var ms []float64
+	if resolution <= cap(buf) {
+		ms = buf[:resolution]
+		clear(ms)
+	} else {
+		ms = make([]float64, resolution)
+	}
+	if t := a.table; t != nil && t.resolution == resolution {
+		for k, w := range a.strengths {
+			if w == 0 {
+				continue
+			}
+			ts := t.terms[k]
+			dst := ms[ts.lo : ts.lo+len(ts.m)]
+			for i, m := range ts.m {
+				if v := a.implication.Apply(w, m); v > dst[i] {
+					dst[i] = v
+				}
+			}
+		}
+		return ms
+	}
+	min, max := a.out.Universe()
+	step := (max - min) / float64(resolution-1)
+	for i := range ms {
+		ms[i] = a.At(samplePoint(min, step, i))
+	}
+	return ms
 }

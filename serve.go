@@ -46,9 +46,9 @@ type SurfaceCacheInfo = ifacs.CacheInfo
 
 // NewCompiledSystemCached is NewCompiledSystem behind a load-or-compile
 // surface cache: dir holds versioned binary surface tables validated by
-// a config+grid hash and a checksum, so a process restart skips the
-// seconds-long surface compilation whenever a valid entry exists. An
-// empty dir always compiles.
+// a config+grid hash and a checksum, so a process restart decodes the
+// surfaces in milliseconds instead of compiling them whenever a valid
+// entry exists. An empty dir always compiles.
 func NewCompiledSystemCached(gridSize int, dir string, opts ...SystemOption) (*CompiledSystem, SurfaceCacheInfo, error) {
 	return ifacs.NewCompiledCached(gridSize, dir, opts...)
 }
