@@ -554,7 +554,7 @@ type metroBenchRun struct {
 // persists the sub-results (this is how the committed
 // BENCH_metropolis.json is produced):
 //
-//	FACS_METRO_RINGS=18 FACS_METRO_TARGET=550000 \
+//	FACS_METRO_RINGS=18 FACS_METRO_TARGET=1100000 FACS_METRO_SHARDS=4 \
 //	FACS_METRO_JSON=$PWD/BENCH_metropolis.json \
 //	go test -run '^$' -bench BenchmarkMetropolis -benchtime 1x .
 func BenchmarkMetropolis(b *testing.B) {

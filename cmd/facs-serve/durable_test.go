@@ -73,7 +73,7 @@ func TestClassAwareShedding(t *testing.T) {
 
 	in := newIntake(4)
 	var out bytes.Buffer
-	if err := serveStream(eng, netw, strings.NewReader(lines), &out, in); err != nil {
+	if err := serveStream(eng, netw, strings.NewReader(lines), &out, in, freshCalls(t, netw)); err != nil {
 		t.Fatal(err)
 	}
 	got := decodeLines(t, out.String())
@@ -134,7 +134,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}, "\n") + "\n"
 	in := newIntake(16)
 	var out bytes.Buffer
-	if err := serveStream(eng, netw, strings.NewReader(lines), &out, in); err != nil {
+	if err := serveStream(eng, netw, strings.NewReader(lines), &out, in, freshCalls(t, netw)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,7 +219,12 @@ func TestServeSnapshotRestore(t *testing.T) {
 
 	out.Reset()
 	errw.Reset()
-	in2 := `{"id":2,"class":"video","station":0,"speed":10,"angle":0,"distance":1}` + "\n"
+	in2 := strings.Join([]string{
+		`{"id":2,"class":"video","station":0,"speed":10,"angle":0,"distance":1}`,
+		// The restored call's ID is live, and its call releasable.
+		`{"id":1,"class":"text","station":1,"speed":10,"angle":0,"distance":1}`,
+		`{"op":"release","id":1}`,
+	}, "\n") + "\n"
 	if err := run([]string{"-controller", "cs", "-shards", "2", "-capacity", "10", "-restore", path},
 		strings.NewReader(in2), &out, &errw); err != nil {
 		t.Fatal(err)
@@ -227,8 +232,12 @@ func TestServeSnapshotRestore(t *testing.T) {
 	if !strings.Contains(errw.String(), "restored engine state from "+path) {
 		t.Fatalf("restore not reported: %q", errw.String())
 	}
-	if r := decodeLines(t, out.String())[2]; r.Decision != "reject" {
+	restored := decodeLines(t, out.String())
+	if r := restored[2]; r.Decision != "reject" {
 		t.Fatalf("restored station should be full and reject, got %+v", r)
+	}
+	if r := restored[1]; !strings.HasPrefix(r.Error, "duplicate id") {
+		t.Fatalf("restored call's ID should be live (and its release silent), got %+v", r)
 	}
 
 	// A snapshot refuses an engine with different sharding.

@@ -36,6 +36,20 @@
 // response line reports the target-side decision — committed:false
 // means the call was dropped.
 //
+// Call IDs are the client's, and the server holds them unique: one ID
+// names at most one call at a time across every stream the process
+// serves (stdin, or all TCP connections together). A request line
+// whose id is still in flight (sent, not yet answered) or live
+// (committed and neither released nor dropped) is not decided; it is
+// answered at once with the error line
+//
+//	{"id":7,"error":"duplicate id: call 7 is in flight or live; release it or use a fresh id"}
+//
+// An id becomes free again when its request is answered without a
+// commit, when its call is released, or when a handoff drops it. Since
+// the table is process-wide, any stream may release or hand off a live
+// call by its id, including calls restored from a snapshot.
+//
 // Each decision line carries the request id, the outcome, whether the
 // call was allocated (commit mode), the service-side latency and the
 // micro-batch size that carried it:
@@ -257,6 +271,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "facs-serve: restored engine state from %s\n", o.restorePath)
 	}
 
+	calls, err := newCallTable(netw)
+	if err != nil {
+		return finishProf(err)
+	}
 	snaps := newSnapState(o.snapshotDir)
 	in := newIntake(o.maxInflight)
 	var front admitter = eng
@@ -300,7 +318,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			stopping.Store(true)
 			l.Close()
 		}()
-		err = serveTCP(l, front, eng, netw, in, stderr)
+		err = serveTCP(l, front, eng, netw, in, calls, stderr)
 		if stopping.Load() {
 			err = nil
 		}
@@ -325,7 +343,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		os.Exit(0)
 	}()
-	if err := serveStream(front, netw, stdin, stdout, in); err != nil {
+	if err := serveStream(front, netw, stdin, stdout, in, calls); err != nil {
 		return finishProf(err)
 	}
 	return finishProf(doShutdown())
@@ -459,7 +477,7 @@ var shardPartitions = map[string]facs.ShardPartition{
 type admitter interface {
 	SubmitAsync(req icac.Request) <-chan iserve.Response
 	Tick(now float64) error
-	Release(callID int, station *icell.BaseStation, now float64) error
+	Release(callID int, h icell.Handle, station *icell.BaseStation, now float64) error
 }
 
 // handoffer is the optional handoff surface (the sharded engine).
@@ -470,7 +488,7 @@ type handoffer interface {
 // serveTCP accepts connections and streams each over the shared
 // engine. It runs until the listener closes (shutdown signal) or
 // fails.
-func serveTCP(l net.Listener, front admitter, eng *ishard.Engine, netw *facs.Network, in *intake, stderr io.Writer) error {
+func serveTCP(l net.Listener, front admitter, eng *ishard.Engine, netw *facs.Network, in *intake, calls *callTable, stderr io.Writer) error {
 	defer l.Close()
 	fmt.Fprintf(stderr, "facs-serve: listening on %s\n", l.Addr())
 	for {
@@ -480,7 +498,7 @@ func serveTCP(l net.Listener, front admitter, eng *ishard.Engine, netw *facs.Net
 		}
 		go func() {
 			defer conn.Close()
-			if err := serveStream(front, netw, conn, conn, in); err != nil {
+			if err := serveStream(front, netw, conn, conn, in, calls); err != nil {
 				fmt.Fprintln(stderr, "facs-serve: connection:", err)
 			}
 			ledger, hasLedger := ledgerStats(eng)
@@ -588,11 +606,113 @@ func buildRequest(netw *facs.Network, stations []*icell.BaseStation, w wireReque
 	return req, nil
 }
 
+// callTable is the process-wide register of the call IDs the wire has
+// claimed, shared by every stream of one engine. It is where client IDs
+// are held unique: the stations admit by handle and never compare IDs,
+// while the controllers' observer seam (the SCC ledger, for one) keys
+// calls by ID. An entry is pending from the moment its request line is
+// accepted until its response, and again while a handoff of it runs;
+// otherwise it is live and records the station and handle that release
+// and handoff ops address the call by.
+type callTable struct {
+	mu    sync.Mutex
+	calls map[int]wireCall
+}
+
+// wireCall is one claimed call ID's state.
+type wireCall struct {
+	station *icell.BaseStation
+	h       icell.Handle
+	pending bool
+}
+
+// newCallTable registers the calls the network's stations already
+// carry (a restored snapshot's) as live, so their IDs stay claimed and
+// their calls releasable. A network whose stations carry one ID twice
+// is refused.
+func newCallTable(netw *facs.Network) (*callTable, error) {
+	t := &callTable{calls: map[int]wireCall{}}
+	for _, bs := range netw.Stations() {
+		for _, c := range bs.HeldCalls() {
+			if _, dup := t.calls[c.ID]; dup {
+				return nil, fmt.Errorf("restored stations carry call %d twice", c.ID)
+			}
+			t.calls[c.ID] = wireCall{station: bs, h: c.Handle}
+		}
+	}
+	return t, nil
+}
+
+// claim marks id pending for a new request; false if it is already
+// pending or live.
+func (t *callTable) claim(id int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, taken := t.calls[id]; taken {
+		return false
+	}
+	t.calls[id] = wireCall{pending: true}
+	return true
+}
+
+// settle ends a pending claim with the decision's outcome: a committed
+// call becomes live at station, anything else frees the ID.
+func (t *callTable) settle(id int, station *icell.BaseStation, resp iserve.Response) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if resp.Committed {
+		t.calls[id] = wireCall{station: station, h: resp.Handle}
+	} else {
+		delete(t.calls, id)
+	}
+}
+
+// take removes a live call for release; false if id is not live.
+func (t *callTable) take(id int) (wireCall, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.calls[id]
+	if !ok || c.pending {
+		return wireCall{}, false
+	}
+	delete(t.calls, id)
+	return c, true
+}
+
+// beginHandoff marks a live call pending for the handoff protocol and
+// returns where it is; false if id is not live.
+func (t *callTable) beginHandoff(id int) (wireCall, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.calls[id]
+	if !ok || c.pending {
+		return wireCall{}, false
+	}
+	t.calls[id] = wireCall{station: c.station, h: c.h, pending: true}
+	return c, true
+}
+
+// endHandoff records a handoff's result: a protocol error leaves the
+// call live where it was (prev), a committed transfer moves it to the
+// target's handle, and a drop frees the ID (the source released it).
+func (t *callTable) endHandoff(id int, prev wireCall, target *icell.BaseStation, res ishard.HandoffResult) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case res.Err != nil:
+		t.calls[id] = prev
+	case res.Response.Committed:
+		t.calls[id] = wireCall{station: target, h: res.Response.Handle}
+	default:
+		delete(t.calls, id)
+	}
+}
+
 // serveStream pumps one NDJSON stream through the front end: request
 // lines are enqueued in order (decisions fan back as batches complete)
 // under a bounded class-aware in-flight window, op lines are serialized
 // behind the requests already enqueued on their stations' shards.
-func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, in *intake) error {
+func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, in *intake, calls *callTable) error {
 	stations := netw.Stations()
 	var (
 		outMu sync.Mutex
@@ -620,12 +740,6 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 	// against the class cap cannot race with another enqueue).
 	inflight := make(chan struct{}, in.max)
 
-	// committed maps call ID -> station for release and handoff ops.
-	var (
-		commitMu  sync.Mutex
-		committed = map[int]*icell.BaseStation{}
-	)
-
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -652,24 +766,24 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 					len(inflight), limit, class)})
 				continue
 			}
-			inflight <- struct{}{}
 			req, err := buildRequest(netw, stations, wr)
 			if err != nil {
-				<-inflight
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 				continue
 			}
+			if !calls.claim(wr.ID) {
+				writeLine(wireResponse{ID: wr.ID, Error: fmt.Sprintf(
+					"duplicate id: call %d is in flight or live; release it or use a fresh id", wr.ID)})
+				continue
+			}
+			inflight <- struct{}{}
 			ch := front.SubmitAsync(req)
 			wg.Add(1)
 			go func(id int, station *icell.BaseStation) {
 				defer wg.Done()
 				defer func() { <-inflight }()
 				resp := <-ch
-				if resp.Committed {
-					commitMu.Lock()
-					committed[id] = station
-					commitMu.Unlock()
-				}
+				calls.settle(id, station, resp)
 				writeLine(toWire(id, resp))
 			}(wr.ID, req.Station)
 		case "tick":
@@ -677,15 +791,12 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 			}
 		case "release":
-			commitMu.Lock()
-			bs, ok := committed[wr.ID]
-			delete(committed, wr.ID)
-			commitMu.Unlock()
+			c, ok := calls.take(wr.ID)
 			if !ok {
 				writeLine(wireResponse{ID: wr.ID, Error: "release of unknown or uncommitted call"})
 				continue
 			}
-			if err := front.Release(wr.ID, bs, wr.Now); err != nil {
+			if err := front.Release(wr.ID, c.h, c.station, wr.Now); err != nil {
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 			}
 		case "handoff":
@@ -698,9 +809,7 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				writeLine(wireResponse{ID: wr.ID, Error: "handoff needs the new x/y position"})
 				continue
 			}
-			commitMu.Lock()
-			from, ok := committed[wr.ID]
-			commitMu.Unlock()
+			from, ok := calls.beginHandoff(wr.ID)
 			if !ok {
 				writeLine(wireResponse{ID: wr.ID, Error: "handoff of unknown or uncommitted call"})
 				continue
@@ -708,27 +817,23 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 			pos := igeo.Point{X: *wr.X, Y: *wr.Y}
 			target, err := netw.StationAt(pos)
 			if err != nil {
+				calls.endHandoff(wr.ID, from, nil, ishard.HandoffResult{Err: err})
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 				continue
 			}
 			res := ho.HandoffCall(ishard.Handoff{
 				CallID: wr.ID,
-				From:   from,
+				Handle: from.h,
+				From:   from.station,
 				To:     target,
 				Est:    igps.Estimate{Pos: pos, HeadingDeg: wr.Heading, SpeedKmh: wr.Speed},
 				Now:    wr.Now,
 			})
+			calls.endHandoff(wr.ID, from, target, res)
 			if res.Err != nil {
 				writeLine(wireResponse{ID: wr.ID, Error: res.Err.Error()})
 				continue
 			}
-			commitMu.Lock()
-			if res.Response.Committed {
-				committed[wr.ID] = target
-			} else {
-				delete(committed, wr.ID) // dropped: the source released it
-			}
-			commitMu.Unlock()
 			writeLine(toWire(wr.ID, res.Response))
 		default:
 			writeLine(wireResponse{ID: wr.ID, Error: fmt.Sprintf("unknown op %q", wr.Op)})

@@ -8,6 +8,7 @@ import (
 	"net"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +17,29 @@ import (
 	iserve "facs/internal/serve"
 	ishard "facs/internal/shard"
 )
+
+// freshCalls is the process-wide call-ID table for a stream test.
+func freshCalls(t *testing.T, netw *facs.Network) *callTable {
+	t.Helper()
+	calls, err := newCallTable(netw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return calls
+}
+
+// carrying counts the calls with the given ID across the network.
+func carrying(netw *facs.Network, id int) int {
+	n := 0
+	for _, bs := range netw.Stations() {
+		for _, c := range bs.HeldCalls() {
+			if c.ID == id {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // decodeLines parses every NDJSON output line by request id.
 func decodeLines(t *testing.T, out string) map[int]wireResponse {
@@ -241,7 +265,7 @@ func TestBackpressureShedsWhenFull(t *testing.T) {
 		`{"id":2,"class":"text","station":0,"speed":10,"angle":0,"distance":1}`,
 	}, "\n") + "\n"
 	var out bytes.Buffer
-	if err := serveStream(eng, netw, strings.NewReader(in), &out, newIntake(1)); err != nil {
+	if err := serveStream(eng, netw, strings.NewReader(in), &out, newIntake(1), freshCalls(t, netw)); err != nil {
 		t.Fatal(err)
 	}
 	got := decodeLines(t, out.String())
@@ -277,7 +301,7 @@ func TestHandoffOpOverStream(t *testing.T) {
 	client, server := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- serveStream(eng, netw, server, server, newIntake(64))
+		done <- serveStream(eng, netw, server, server, newIntake(64), freshCalls(t, netw))
 		server.Close()
 	}()
 
@@ -312,11 +336,11 @@ func TestHandoffOpOverStream(t *testing.T) {
 	if r := readLine(); r.ID != 7 || !r.Committed || r.Decision != "accept" {
 		t.Fatalf("handoff response: %+v", r)
 	}
-	if _, ok := src.Call(7); ok {
+	if src.NumCalls() != 0 {
 		t.Fatal("source still carries the call")
 	}
-	if _, ok := dst.Call(7); !ok {
-		t.Fatal("target does not carry the call")
+	if held := dst.HeldCalls(); len(held) != 1 || held[0].ID != 7 {
+		t.Fatalf("target carries %+v, want call 7", held)
 	}
 
 	// Unknown call and missing position both error.
@@ -359,7 +383,7 @@ func TestServeStreamOverConnection(t *testing.T) {
 	client, server := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- serveStream(svc, netw, server, server, newIntake(1024))
+		done <- serveStream(svc, netw, server, server, newIntake(1024), freshCalls(t, netw))
 		server.Close()
 	}()
 
@@ -391,5 +415,176 @@ func TestServeStreamOverConnection(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Decided != 6 || st.Committed != 6 {
 		t.Fatalf("stats = %+v, want 6 decided and committed", st)
+	}
+}
+
+// gatedController accepts every request, but holds the decision of
+// call gatedID until gate closes, so that call stays in flight.
+type gatedController struct {
+	gate chan struct{}
+}
+
+const gatedID = 8
+
+func (g *gatedController) Name() string { return "gated" }
+
+func (g *gatedController) Decide(req icac.Request) (icac.Decision, error) {
+	if req.Call.ID == gatedID {
+		<-g.gate
+	}
+	return icac.Accept, nil
+}
+
+// TestWireDuplicateIDRejected pins the wire's ID contract: a request
+// line whose id is in flight, or live after its commit, is answered
+// with the duplicate-id error line and never decided, so one ID never
+// names two live calls; once the call is released the ID is free again.
+func TestWireDuplicateIDRejected(t *testing.T) {
+	netw, err := facs.NewNetwork(facs.NetworkConfig{Rings: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := &gatedController{gate: make(chan struct{})}
+	svc, err := iserve.New(iserve.Config{Controller: ctrl, MaxBatch: 4, MaxDelay: -1, Commit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	openGate := sync.OnceFunc(func() { close(ctrl.gate) })
+	defer openGate() // a failed read must not leave the loop blocked at Close
+
+	client, server := net.Pipe()
+	if err := client.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- serveStream(svc, netw, server, server, newIntake(64), freshCalls(t, netw))
+		server.Close()
+	}()
+	w := bufio.NewWriter(client)
+	sc := bufio.NewScanner(client)
+	send := func(line string) {
+		t.Helper()
+		fmt.Fprintln(w, line)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readLine := func() wireResponse {
+		t.Helper()
+		if !sc.Scan() {
+			t.Fatalf("stream ended early: %v", sc.Err())
+		}
+		var r wireResponse
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	request := fmt.Sprintf(`{"id":%d,"class":"voice","station":0,"speed":20,"angle":0,"distance":1}`, gatedID)
+	isDuplicate := func(r wireResponse) bool {
+		return r.ID == gatedID && r.Decision == "" && strings.HasPrefix(r.Error, "duplicate id")
+	}
+
+	// In flight: the first line's decision is gated, so the second line
+	// meets a pending claim.
+	send(request)
+	send(request)
+	if r := readLine(); !isDuplicate(r) {
+		t.Fatalf("duplicate of an in-flight id: %+v, want the duplicate-id error line", r)
+	}
+	openGate()
+	if r := readLine(); r.ID != gatedID || !r.Committed {
+		t.Fatalf("gated request: %+v, want committed", r)
+	}
+
+	// Live: the committed call still owns the ID.
+	send(request)
+	if r := readLine(); !isDuplicate(r) {
+		t.Fatalf("duplicate of a live id: %+v, want the duplicate-id error line", r)
+	}
+
+	// Released: the ID is free for a new call.
+	send(fmt.Sprintf(`{"op":"release","id":%d}`, gatedID))
+	send(request)
+	if r := readLine(); r.ID != gatedID || !r.Committed || r.Error != "" {
+		t.Fatalf("request after release: %+v, want committed", r)
+	}
+
+	client.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := carrying(netw, gatedID); n != 1 {
+		t.Fatalf("stations carry %d calls with id %d, want 1", n, gatedID)
+	}
+	if st := svc.Stats(); st.Decided != 2 || st.Committed != 2 || st.OpErrs != 0 {
+		t.Fatalf("stats = %+v, want 2 decided and committed, no op errors", st)
+	}
+}
+
+// TestWireIDsUniqueAcrossStreams runs several streams over one engine
+// and one call table at once, every stream sending the same IDs: each
+// ID is decided for exactly one stream, every other copy gets the
+// duplicate-id error line, and no station ever carries an ID twice.
+func TestWireIDsUniqueAcrossStreams(t *testing.T) {
+	netw, err := facs.NewNetwork(facs.NetworkConfig{Rings: 1, CapacityBU: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ishard.New(ishard.Config{
+		Network:       netw,
+		Shards:        2,
+		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		Commit:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	calls := freshCalls(t, netw)
+	const streams, ids = 4, 50
+	outs := make([]bytes.Buffer, streams)
+	errs := make(chan error, streams)
+	for s := 0; s < streams; s++ {
+		var in strings.Builder
+		for id := 1; id <= ids; id++ {
+			fmt.Fprintf(&in, `{"id":%d,"class":"text","station":%d,"speed":20,"angle":0,"distance":1}`+"\n", id, (id+s)%7)
+		}
+		go func(s int, in string) {
+			errs <- serveStream(eng, netw, strings.NewReader(in), &outs[s], newIntake(256), calls)
+		}(s, in.String())
+	}
+	for s := 0; s < streams; s++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	decided := map[int]int{}
+	for s := range outs {
+		for _, line := range strings.Split(strings.TrimSpace(outs[s].String()), "\n") {
+			var r wireResponse
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("stream %d: bad line %q: %v", s, line, err)
+			}
+			switch {
+			case r.Error == "" && r.Committed:
+				decided[r.ID]++
+			case !strings.HasPrefix(r.Error, "duplicate id"):
+				t.Fatalf("stream %d: unexpected line %+v", s, r)
+			}
+		}
+	}
+	for id := 1; id <= ids; id++ {
+		if decided[id] != 1 || carrying(netw, id) != 1 {
+			t.Fatalf("id %d: committed on %d streams, carried %d times; want 1 and 1", id, decided[id], carrying(netw, id))
+		}
 	}
 }

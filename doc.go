@@ -106,7 +106,8 @@
 //		NewController: func(facs.ShardView) (facs.Controller, error) { return ctrl, nil },
 //	})
 //	responses, err := eng.SubmitWave(reqs) // chunked in global order, barriers between chunks
-//	res := eng.HandoffCall(facs.ShardHandoff{CallID: 7, From: src, To: dst, Est: est, Now: now})
+//	h := responses[0].Handle               // names the committed call at its station
+//	res := eng.HandoffCall(facs.ShardHandoff{CallID: 7, Handle: h, From: src, To: dst, Est: est, Now: now})
 //
 // For cell-local controllers (CellLocalController: FACS exact and
 // compiled, the classical baselines) every outcome is byte-identical

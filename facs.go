@@ -141,6 +141,12 @@ type AdmissionRequest = icac.Request
 // Call is one admitted connection occupying bandwidth at a base station.
 type Call = icell.Call
 
+// CallHandle names one carried call at the station that admitted it
+// (see internal/cell.Handle): BaseStation.Admit returns it, and
+// Release, Call, Network.Handoff and the sharded engine's Release and
+// handoffs take it. A stale or foreign handle resolves to nothing.
+type CallHandle = icell.Handle
+
 // BaseStation is one cell's radio resource manager with the paper's
 // RTC/NRTC counters.
 type BaseStation = icell.BaseStation

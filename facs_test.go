@@ -48,7 +48,7 @@ func TestPublicNetworkAndStation(t *testing.T) {
 	if bs.Capacity() != facs.DefaultCapacityBU {
 		t.Fatalf("Capacity = %d", bs.Capacity())
 	}
-	if err := bs.Admit(facs.Call{ID: 1, Class: facs.Video, BU: 10}); err != nil {
+	if _, err := bs.Admit(facs.Call{ID: 1, Class: facs.Video, BU: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if bs.RTC() != 10 || bs.NRTC() != 0 {

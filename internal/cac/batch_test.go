@@ -19,7 +19,7 @@ func batchStation(t *testing.T, id int, usedVideo, usedVoice, usedText int) *cel
 	next := 1000 * id
 	admit := func(class traffic.Class, n int) {
 		for i := 0; i < n; i++ {
-			if err := bs.Admit(cell.Call{ID: next, Class: class, BU: class.BandwidthUnits()}); err != nil {
+			if _, err := bs.Admit(cell.Call{ID: next, Class: class, BU: class.BandwidthUnits()}); err != nil {
 				t.Fatal(err)
 			}
 			next++

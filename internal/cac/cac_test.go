@@ -22,7 +22,7 @@ func fill(t *testing.T, bs *cell.BaseStation, class traffic.Class, count int) {
 	t.Helper()
 	for i := 0; i < count; i++ {
 		c := cell.Call{ID: 1000 + bs.NumCalls() + i*7919, Class: class, BU: class.BandwidthUnits()}
-		if err := bs.Admit(c); err != nil {
+		if _, err := bs.Admit(c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func ExampleDecideAll() {
 	if err != nil {
 		panic(err)
 	}
-	if err := bs.Admit(cell.Call{ID: 99, Class: traffic.Voice, BU: 5}); err != nil {
+	if _, err := bs.Admit(cell.Call{ID: 99, Class: traffic.Voice, BU: 5}); err != nil {
 		panic(err)
 	}
 	ctrl, err := cac.NewGuardChannel(4) // reserve 4 BU for handoffs

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"facs/internal/geo"
 	"facs/internal/traffic"
@@ -17,11 +18,11 @@ var (
 	// ErrInsufficientBandwidth reports that a call does not fit into the
 	// station's free bandwidth.
 	ErrInsufficientBandwidth = errors.New("cell: insufficient bandwidth")
-	// ErrUnknownCall reports a release/lookup of a call the station does
-	// not carry.
+	// ErrUnknownCall reports a release/lookup through a handle that names
+	// no call the station carries: the zero Handle, a handle whose call
+	// was already released (stale), or a handle minted by another
+	// station (foreign).
 	ErrUnknownCall = errors.New("cell: unknown call")
-	// ErrDuplicateCall reports an admit of a call ID already carried.
-	ErrDuplicateCall = errors.New("cell: duplicate call")
 )
 
 // Call is one admitted connection occupying bandwidth at a base station.
@@ -39,82 +40,105 @@ type Call struct {
 	Handoff bool
 }
 
+// Handle names one carried call at the station that admitted it: the
+// call's slot in the station's pool, the slot's generation at admission
+// and the station's tag. Admit mints it; Release, Call and
+// Network.Handoff take it, so holders of a live call reach its record
+// by direct slot access instead of an ID lookup. A handle goes stale
+// the moment its call is released (the slot's generation moves on),
+// and a handle is foreign at every station but the one that minted it;
+// both resolve to ErrUnknownCall. The zero Handle names no call.
+// Handles are opaque and never serialized: a restored station mints
+// fresh ones (see HeldCalls).
+type Handle struct {
+	station uint32
+	slot    uint32
+	gen     uint32
+}
+
+// HeldCall is one carried call together with the handle that names it.
+type HeldCall struct {
+	Call
+	Handle Handle
+}
+
+// stationTags mints each station's handle tag. It is process-wide so
+// that no two stations share a tag (the values themselves are never
+// observable), and tag 0 is never issued, so the zero Handle is foreign
+// everywhere.
+var stationTags atomic.Uint32
+
 // callPool is the station's struct-of-arrays call ledger: call records
-// live in a slot-indexed slice, freed slots are recycled through a
-// free-list stack, and the live slots are tracked in a dense array with
-// swap-removal — so admit and release are O(1) and, once the pool has
-// grown to its working-set size, allocation-free. Only the small ID →
-// slot index map remains (Go map buckets are retained across
-// delete/insert at steady size, so it does not allocate per call
-// either); the call records themselves never churn through map buckets.
+// live in a slot-indexed slice, and freed slots are recycled through a
+// free-list stack, so admit and release are O(1) slot accesses and,
+// once the pool has grown to its working-set size, allocation-free.
+// Each slot carries a generation that advances on every admit and every
+// release: odd while the slot holds a live call, even while it is free.
+// A handle records the odd generation its call was admitted under, so a
+// released (or released-and-reused) slot rejects every older handle
+// (until the 32-bit generation wraps, after 2^31 reuses of one slot).
+// There is no call-ID index: the ID is a label the station stores, not
+// a key it looks up.
 type callPool struct {
 	// slots holds the call records; a freed slot's record is zeroed.
 	slots []Call
-	// dense lists the live slots (unordered: releases swap-remove).
-	dense []int32
-	// pos maps slot → index in dense, -1 for free slots.
-	pos []int32
+	// gen is each slot's generation (odd = live).
+	gen []uint32
 	// free is the stack of recyclable slots.
-	free []int32
-	// index maps call ID → slot.
-	index map[int]int32
+	free []uint32
+	// live counts the occupied slots.
+	live int
 }
 
-// put inserts a call into a recycled or fresh slot. The caller has
-// already checked the ID is new.
-func (p *callPool) put(c Call) {
-	var slot int32
+// put inserts a call into a recycled or fresh slot and returns the
+// slot and its new (odd) generation.
+func (p *callPool) put(c Call) (uint32, uint32) {
+	var slot uint32
 	if n := len(p.free); n > 0 {
 		slot = p.free[n-1]
 		p.free = p.free[:n-1]
 		p.slots[slot] = c
 	} else {
-		slot = int32(len(p.slots))
+		slot = uint32(len(p.slots))
 		p.slots = append(p.slots, c)
-		p.pos = append(p.pos, -1)
+		p.gen = append(p.gen, 0)
 	}
-	p.pos[slot] = int32(len(p.dense))
-	p.dense = append(p.dense, slot)
-	p.index[c.ID] = slot
+	p.gen[slot]++
+	p.live++
+	return slot, p.gen[slot]
 }
 
-// take removes and returns the call with the given ID.
-func (p *callPool) take(id int) (Call, bool) {
-	slot, ok := p.index[id]
-	if !ok {
-		return Call{}, false
-	}
-	delete(p.index, id)
+// holds reports whether slot is live under generation gen.
+func (p *callPool) holds(slot, gen uint32) bool {
+	return int(slot) < len(p.gen) && p.gen[slot] == gen && gen&1 == 1
+}
+
+// take frees a live slot and returns its record.
+func (p *callPool) take(slot uint32) Call {
 	c := p.slots[slot]
-	// Swap-remove from the dense live list.
-	di := p.pos[slot]
-	last := p.dense[len(p.dense)-1]
-	p.dense[di] = last
-	p.pos[last] = di
-	p.dense = p.dense[:len(p.dense)-1]
-	p.pos[slot] = -1
 	p.slots[slot] = Call{}
+	p.gen[slot]++
 	p.free = append(p.free, slot)
-	return c, true
+	p.live--
+	return c
 }
 
-// get looks up a live call by ID.
-func (p *callPool) get(id int) (Call, bool) {
-	slot, ok := p.index[id]
-	if !ok {
-		return Call{}, false
+// reset frees every live slot, staling every outstanding handle.
+func (p *callPool) reset() {
+	for slot, g := range p.gen {
+		if g&1 == 1 {
+			p.take(uint32(slot))
+		}
 	}
-	return p.slots[slot], true
 }
 
 // reserve materializes storage for up to n concurrent calls: fresh
 // slots are pushed onto the free stack (lowest first, matching the
-// order lazy growth would have assigned them), every backing array gets
-// capacity n, and the ID index is rebuilt with room for n entries.
-// After reserve(n), put and take never allocate while the live
-// population stays at or below n. Slot numbering is unobservable
-// outside the pool, so reserving changes no behaviour — only when the
-// memory is paid for.
+// order lazy growth would have assigned them) and every backing array
+// gets capacity n. After reserve(n), put and take never allocate while
+// the live population stays at or below n. Slot numbering is
+// unobservable outside the pool (handles are opaque), so reserving
+// changes no behaviour — only when the memory is paid for.
 func (p *callPool) reserve(n int) {
 	if n <= len(p.slots) {
 		return
@@ -123,34 +147,33 @@ func (p *callPool) reserve(n int) {
 	slots := make([]Call, n)
 	copy(slots, p.slots)
 	p.slots = slots
-	pos := make([]int32, n)
-	copy(pos, p.pos)
-	for i := old; i < n; i++ {
-		pos[i] = -1
-	}
-	p.pos = pos
-	free := make([]int32, len(p.free), n)
+	gen := make([]uint32, n)
+	copy(gen, p.gen)
+	p.gen = gen
+	free := make([]uint32, len(p.free), n)
 	copy(free, p.free)
 	p.free = free
 	for slot := n - 1; slot >= old; slot-- {
-		p.free = append(p.free, int32(slot))
+		p.free = append(p.free, uint32(slot))
 	}
-	dense := make([]int32, len(p.dense), n)
-	copy(dense, p.dense)
-	p.dense = dense
-	index := make(map[int]int32, n)
-	for id, slot := range p.index { //facs:orderless map-to-map rehash; the rebuilt index is order-free
-		index[id] = slot
-	}
-	p.index = index
 }
 
-// BaseStation is one cell's radio resource manager. It is not safe for
+// BaseStation is one cell's radio resource manager: the paper's RTC and
+// NRTC counters over a handle-addressed call pool. It is not safe for
 // concurrent use; the simulation kernel is single-threaded by design.
+//
+// The station does not look calls up by ID. Admit mints a Handle and
+// every later operation on the call (Release, Call, Network.Handoff)
+// presents it, so the admit/release cycle is a pair of slot writes.
+// Consequently the station does not police call-ID uniqueness either:
+// that contract lives at the boundaries that receive untrusted IDs
+// (snapshot decode, the metropolis restore, the facs-serve wire), while
+// the simulation drivers mint unique IDs themselves.
 type BaseStation struct {
 	hex      geo.Hex
 	pos      geo.Point
 	capacity int
+	tag      uint32
 	pool     callPool
 	usedRT   int
 	usedNRT  int
@@ -169,7 +192,7 @@ func NewBaseStation(hex geo.Hex, pos geo.Point, capacityBU int) (*BaseStation, e
 		hex:      hex,
 		pos:      pos,
 		capacity: capacityBU,
-		pool:     callPool{index: make(map[int]int32)},
+		tag:      stationTags.Add(1),
 	}, nil
 }
 
@@ -218,7 +241,7 @@ func (b *BaseStation) Occupancy() float64 {
 }
 
 // NumCalls returns the number of carried calls.
-func (b *BaseStation) NumCalls() int { return len(b.pool.dense) }
+func (b *BaseStation) NumCalls() int { return b.pool.live }
 
 // Fits reports whether a call of the given size would be admissible
 // right now. It agrees with Admit on degenerate sizes: a call must
@@ -226,108 +249,97 @@ func (b *BaseStation) NumCalls() int { return len(b.pool.dense) }
 // Admit rejects BU <= 0.
 func (b *BaseStation) Fits(bu int) bool { return bu > 0 && bu <= b.Free() }
 
-// Admit adds a call to the ledger, debiting the class counter. The call
-// must fit and its ID must be new, otherwise the ledger is unchanged and
-// an error wrapping ErrInsufficientBandwidth / ErrDuplicateCall is
-// returned.
+// Admit adds a call to the ledger, debiting the class counter, and
+// returns the handle that names it from now on. The call must have a
+// valid class and fit, otherwise the ledger is unchanged and an error
+// (wrapping ErrInsufficientBandwidth on overflow) is returned. Admit
+// does not compare IDs with the carried calls: callers mint unique IDs
+// (see the BaseStation documentation).
 //
 //facs:hotpath
-func (b *BaseStation) Admit(c Call) error {
+func (b *BaseStation) Admit(c Call) (Handle, error) {
 	if c.BU <= 0 {
-		return fmt.Errorf("cell: call %d has non-positive bandwidth %d", c.ID, c.BU) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return Handle{}, fmt.Errorf("cell: call %d has non-positive bandwidth %d", c.ID, c.BU) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	if !c.Class.Valid() {
-		return fmt.Errorf("cell: call %d has invalid class %v", c.ID, c.Class) //facs:alloc reject/error path; formats nothing on the steady-state wave
-	}
-	if _, dup := b.pool.index[c.ID]; dup {
-		return fmt.Errorf("cell: admitting call %d at %v: %w", c.ID, b.hex, ErrDuplicateCall) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return Handle{}, fmt.Errorf("cell: call %d has invalid class %v", c.ID, c.Class) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	if c.BU > b.Free() {
-		return fmt.Errorf("cell: admitting call %d (%d BU) at %v with %d BU free: %w", //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return Handle{}, fmt.Errorf("cell: admitting call %d (%d BU) at %v with %d BU free: %w", //facs:alloc reject/error path; formats nothing on the steady-state wave
 			c.ID, c.BU, b.hex, b.Free(), ErrInsufficientBandwidth)
 	}
-	b.pool.put(c)
-	if c.Class.RealTime() {
-		b.usedRT += c.BU
-	} else {
-		b.usedNRT += c.BU
-	}
-	b.classBU[c.Class] += c.BU
-	return nil
+	slot, gen := b.pool.put(c)
+	b.account(c, 1)
+	return Handle{station: b.tag, slot: slot, gen: gen}, nil
 }
 
-// Release removes a call from the ledger, crediting its bandwidth back.
+// account adds sign × the call's bandwidth to the occupancy counters:
+// +1 on admit, -1 on release.
+func (b *BaseStation) account(c Call, sign int) {
+	if c.Class.RealTime() {
+		b.usedRT += sign * c.BU
+	} else {
+		b.usedNRT += sign * c.BU
+	}
+	b.classBU[c.Class] += sign * c.BU
+}
+
+// Release removes the call h names from the ledger, crediting its
+// bandwidth back, and returns its record. A stale, foreign or zero
+// handle returns ErrUnknownCall and changes nothing.
 //
 //facs:hotpath
-func (b *BaseStation) Release(id int) (Call, error) {
-	c, ok := b.pool.take(id)
-	if !ok {
-		return Call{}, fmt.Errorf("cell: releasing call %d at %v: %w", id, b.hex, ErrUnknownCall) //facs:alloc reject/error path; formats nothing on the steady-state wave
+func (b *BaseStation) Release(h Handle) (Call, error) {
+	if !b.live(h) {
+		return Call{}, fmt.Errorf("cell: release at %v: %w", b.hex, ErrUnknownCall) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
-	if c.Class.RealTime() {
-		b.usedRT -= c.BU
-	} else {
-		b.usedNRT -= c.BU
-	}
-	b.classBU[c.Class] -= c.BU
+	c := b.pool.take(h.slot)
+	b.account(c, -1)
 	return c, nil
 }
 
-// DetachCalls removes every carried call from the ledger in ascending
-// call-ID order, appending the records to dst and returning it. After
-// DetachCalls the station carries nothing: counters are zero and the
-// pool slots are free. Together with AttachCalls it is the
-// cell-migration seam of the sharded engine: the old owner shard
-// detaches the station's slots inside its decision loop, the new owner
-// re-attaches them inside its own, making the ownership handover an
-// explicit pair of writes that conservation checks (and the race
-// detector) can observe. The pair is behaviour-preserving: records are
-// moved verbatim, and every externally observable order (Calls) is
-// ID-sorted anyway.
-func (b *BaseStation) DetachCalls(dst []Call) []Call {
-	start := len(dst)
-	for _, slot := range b.pool.dense {
-		dst = append(dst, b.pool.slots[slot])
-	}
-	moved := dst[start:]
-	sort.Slice(moved, func(i, j int) bool { return moved[i].ID < moved[j].ID })
-	for _, c := range moved {
-		b.pool.take(c.ID)
-	}
-	b.usedRT, b.usedNRT = 0, 0
-	b.classBU = [4]int{}
-	return dst
+// live reports whether h names a call this station carries.
+func (b *BaseStation) live(h Handle) bool {
+	return h.station == b.tag && b.pool.holds(h.slot, h.gen)
 }
 
-// AttachCalls re-admits previously detached call records verbatim,
-// preserving AdmittedAt and Handoff. It fails (leaving any calls
-// admitted so far in place) if a record does not fit or duplicates a
-// carried ID — impossible when the input is a DetachCalls result from
-// the same station with no interleaved traffic, which is the migration
-// protocol's contract.
-func (b *BaseStation) AttachCalls(calls []Call) error {
-	for _, c := range calls {
-		if err := b.Admit(c); err != nil {
-			return fmt.Errorf("cell: attaching migrated call %d at %v: %w", c.ID, b.hex, err)
+// Call returns the record of the carried call h names; false for a
+// stale, foreign or zero handle.
+func (b *BaseStation) Call(h Handle) (Call, bool) {
+	if !b.live(h) {
+		return Call{}, false
+	}
+	return b.pool.slots[h.slot], true
+}
+
+// HeldCalls returns the carried calls with their handles, sorted by ID
+// (equal IDs, which only a driver bug produces, keep no particular
+// order). It is how a holder re-acquires handles it does not have —
+// after a restore, which re-admits every call under fresh handles — and
+// it is a scan, not a per-call lookup.
+func (b *BaseStation) HeldCalls() []HeldCall {
+	out := make([]HeldCall, 0, b.pool.live)
+	for slot, g := range b.pool.gen {
+		if g&1 == 1 {
+			out = append(out, HeldCall{
+				Call:   b.pool.slots[slot],
+				Handle: Handle{station: b.tag, slot: uint32(slot), gen: g},
+			})
 		}
 	}
-	return nil
-}
-
-// Call looks up a carried call by ID.
-func (b *BaseStation) Call(id int) (Call, bool) {
-	return b.pool.get(id)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Calls returns the carried calls sorted by ID (a defensive copy). The
-// pool's dense order is history-dependent, so the sort keeps every
+// pool's slot order is history-dependent, so the sort keeps every
 // observer deterministic.
 func (b *BaseStation) Calls() []Call {
-	out := make([]Call, 0, len(b.pool.dense))
-	for _, slot := range b.pool.dense {
-		out = append(out, b.pool.slots[slot])
+	held := b.HeldCalls()
+	out := make([]Call, len(held))
+	for i := range held {
+		out[i] = held[i].Call
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -41,10 +41,13 @@ func TestAdmitReleaseLedger(t *testing.T) {
 		{ID: 2, Class: traffic.Voice, BU: 5, AdmittedAt: 2},
 		{ID: 3, Class: traffic.Text, BU: 1, AdmittedAt: 3},
 	}
-	for _, c := range calls {
-		if err := bs.Admit(c); err != nil {
+	handles := make([]Handle, len(calls))
+	for i, c := range calls {
+		h, err := bs.Admit(c)
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles[i] = h
 	}
 	if bs.Used() != 16 || bs.Free() != 24 {
 		t.Fatalf("Used/Free = %d/%d, want 16/24", bs.Used(), bs.Free())
@@ -62,11 +65,11 @@ func TestAdmitReleaseLedger(t *testing.T) {
 		t.Fatalf("Occupancy = %v, want 0.4", got)
 	}
 
-	released, err := bs.Release(2)
+	released, err := bs.Release(handles[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if released.Class != traffic.Voice || released.BU != 5 {
+	if released.ID != 2 || released.Class != traffic.Voice || released.BU != 5 {
 		t.Fatalf("released wrong call: %+v", released)
 	}
 	if bs.RTC() != 10 || bs.Used() != 11 {
@@ -76,21 +79,20 @@ func TestAdmitReleaseLedger(t *testing.T) {
 
 func TestAdmitErrors(t *testing.T) {
 	bs := newBS(t, 10)
-	if err := bs.Admit(Call{ID: 1, Class: traffic.Video, BU: 10}); err != nil {
+	if _, err := bs.Admit(Call{ID: 1, Class: traffic.Video, BU: 10}); err != nil {
 		t.Fatal(err)
 	}
-	err := bs.Admit(Call{ID: 2, Class: traffic.Text, BU: 1})
+	h, err := bs.Admit(Call{ID: 2, Class: traffic.Text, BU: 1})
 	if !errors.Is(err, ErrInsufficientBandwidth) {
 		t.Fatalf("err = %v, want ErrInsufficientBandwidth", err)
 	}
-	err = bs.Admit(Call{ID: 1, Class: traffic.Text, BU: 1})
-	if !errors.Is(err, ErrDuplicateCall) {
-		t.Fatalf("err = %v, want ErrDuplicateCall", err)
+	if h != (Handle{}) {
+		t.Fatalf("failed admit minted handle %v", h)
 	}
-	if err := bs.Admit(Call{ID: 3, Class: traffic.Text, BU: 0}); err == nil {
+	if _, err := bs.Admit(Call{ID: 3, Class: traffic.Text, BU: 0}); err == nil {
 		t.Fatal("zero BU should error")
 	}
-	if err := bs.Admit(Call{ID: 4, Class: traffic.Class(42), BU: 1}); err == nil {
+	if _, err := bs.Admit(Call{ID: 4, Class: traffic.Class(42), BU: 1}); err == nil {
 		t.Fatal("invalid class should error")
 	}
 	// Failed admits must not corrupt the ledger.
@@ -101,8 +103,21 @@ func TestAdmitErrors(t *testing.T) {
 
 func TestReleaseUnknown(t *testing.T) {
 	bs := newBS(t, 10)
-	if _, err := bs.Release(99); !errors.Is(err, ErrUnknownCall) {
-		t.Fatalf("err = %v, want ErrUnknownCall", err)
+	if _, err := bs.Release(Handle{}); !errors.Is(err, ErrUnknownCall) {
+		t.Fatalf("zero handle: err = %v, want ErrUnknownCall", err)
+	}
+	h, err := bs.Admit(Call{ID: 1, Class: traffic.Voice, BU: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bs.Release(h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bs.Release(h); !errors.Is(err, ErrUnknownCall) {
+		t.Fatalf("double release: err = %v, want ErrUnknownCall", err)
+	}
+	if bs.Used() != 0 || bs.NumCalls() != 0 {
+		t.Fatalf("failed release changed the ledger: used=%d calls=%d", bs.Used(), bs.NumCalls())
 	}
 }
 
@@ -124,7 +139,7 @@ func TestFitsAgreesWithAdmitOnDegenerateBU(t *testing.T) {
 		if bs.Fits(bu) {
 			t.Fatalf("Fits(%d) = true, but Admit rejects BU <= 0", bu)
 		}
-		if err := bs.Admit(Call{ID: 100 + bu, Class: traffic.Text, BU: bu}); err == nil {
+		if _, err := bs.Admit(Call{ID: 100 + bu, Class: traffic.Text, BU: bu}); err == nil {
 			t.Fatalf("Admit accepted BU %d", bu)
 		}
 	}
@@ -132,28 +147,34 @@ func TestFitsAgreesWithAdmitOnDegenerateBU(t *testing.T) {
 
 func TestCallLookupAndCopy(t *testing.T) {
 	bs := newBS(t, 40)
-	if err := bs.Admit(Call{ID: 7, Class: traffic.Voice, BU: 5}); err != nil {
+	h7, err := bs.Admit(Call{ID: 7, Class: traffic.Voice, BU: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bs.Admit(Call{ID: 3, Class: traffic.Text, BU: 1}); err != nil {
+	h3, err := bs.Admit(Call{ID: 3, Class: traffic.Text, BU: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := bs.Call(7)
-	if !ok || c.Class != traffic.Voice {
-		t.Fatalf("Call(7) = %+v,%v", c, ok)
+	c, ok := bs.Call(h7)
+	if !ok || c.ID != 7 || c.Class != traffic.Voice {
+		t.Fatalf("Call(h7) = %+v,%v", c, ok)
 	}
-	if _, ok := bs.Call(8); ok {
-		t.Fatal("Call(8) should be absent")
+	if _, ok := bs.Call(Handle{}); ok {
+		t.Fatal("Call(zero handle) should be absent")
 	}
 	list := bs.Calls()
 	if len(list) != 2 || list[0].ID != 3 || list[1].ID != 7 {
 		t.Fatalf("Calls() = %+v, want sorted by ID", list)
 	}
+	held := bs.HeldCalls()
+	if len(held) != 2 || held[0].Handle != h3 || held[1].Handle != h7 || held[1].Call != c {
+		t.Fatalf("HeldCalls() = %+v, want (3,h3),(7,h7) sorted by ID", held)
+	}
 }
 
 func TestBaseStationString(t *testing.T) {
 	bs := newBS(t, 40)
-	if err := bs.Admit(Call{ID: 1, Class: traffic.Voice, BU: 5}); err != nil {
+	if _, err := bs.Admit(Call{ID: 1, Class: traffic.Voice, BU: 5}); err != nil {
 		t.Fatal(err)
 	}
 	s := bs.String()
@@ -171,16 +192,16 @@ func TestLedgerConservationUnderChurn(t *testing.T) {
 		class := traffic.Classes()[round%3]
 		c := Call{ID: next, Class: class, BU: class.BandwidthUnits()}
 		next++
-		if err := bs.Admit(c); err != nil {
+		if _, err := bs.Admit(c); err != nil {
 			// Full: drop the oldest call and retry once.
-			calls := bs.Calls()
-			if len(calls) == 0 {
+			held := bs.HeldCalls()
+			if len(held) == 0 {
 				t.Fatal("admit failed on empty station")
 			}
-			if _, err := bs.Release(calls[0].ID); err != nil {
+			if _, err := bs.Release(held[0].Handle); err != nil {
 				t.Fatal(err)
 			}
-			if err := bs.Admit(c); err != nil {
+			if _, err := bs.Admit(c); err != nil {
 				continue // still may not fit (e.g. video into 9 free)
 			}
 		}
@@ -207,12 +228,15 @@ func TestLedgerConservationUnderChurn(t *testing.T) {
 // while the population stays at or below the reserved bound.
 func TestReserve(t *testing.T) {
 	bs := newBS(t, 40)
+	handles := make(map[int]Handle)
 	for id := 1; id <= 5; id++ {
-		if err := bs.Admit(Call{ID: id, Class: traffic.Voice, BU: 2}); err != nil {
+		h, err := bs.Admit(Call{ID: id, Class: traffic.Voice, BU: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles[id] = h
 	}
-	if _, err := bs.Release(3); err != nil {
+	if _, err := bs.Release(handles[3]); err != nil {
 		t.Fatal(err)
 	}
 	bs.Reserve(bs.Capacity())
@@ -221,21 +245,24 @@ func TestReserve(t *testing.T) {
 		t.Fatalf("reserve disturbed the ledger: %d calls, %d BU", bs.NumCalls(), bs.Used())
 	}
 	for _, id := range []int{1, 2, 4, 5} {
-		if _, ok := bs.Call(id); !ok {
+		if c, ok := bs.Call(handles[id]); !ok || c.ID != id {
 			t.Fatalf("call %d lost across Reserve", id)
 		}
 	}
 	// Churn admissions and releases across the reserved pool: allocation-free.
 	next := 100
+	var churn [10]Handle
 	avg := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 10; i++ {
-			if err := bs.Admit(Call{ID: next, Class: traffic.Text, BU: 1}); err != nil {
+		for i := range churn {
+			h, err := bs.Admit(Call{ID: next, Class: traffic.Text, BU: 1})
+			if err != nil {
 				t.Fatal(err)
 			}
+			churn[i] = h
 			next++
 		}
-		for i := next - 10; i < next; i++ {
-			if _, err := bs.Release(i); err != nil {
+		for _, h := range churn {
+			if _, err := bs.Release(h); err != nil {
 				t.Fatal(err)
 			}
 		}

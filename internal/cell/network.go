@@ -150,36 +150,41 @@ func (n *Network) TotalCapacity() int {
 	return sum
 }
 
-// Handoff atomically moves a carried call from one station to another.
-// On any failure the call remains where it was and an error is returned;
-// in particular ErrInsufficientBandwidth signals a handoff drop candidate.
-func (n *Network) Handoff(callID int, from, to geo.Hex, now float64) error {
+// Handoff atomically moves the carried call h names from one station
+// to another, stamping it with the handoff time, and returns the handle
+// that names it at the target (h is stale from then on). On any
+// failure the call remains where it was, h stays valid, and an error is
+// returned; in particular ErrInsufficientBandwidth signals a handoff
+// drop candidate and ErrUnknownCall a handle the source does not carry.
+func (n *Network) Handoff(h Handle, from, to geo.Hex, now float64) (Handle, error) {
 	src, ok := n.stations[from]
 	if !ok {
-		return fmt.Errorf("cell: handoff source %v: %w", from, ErrOutsideCoverage)
+		return Handle{}, fmt.Errorf("cell: handoff source %v: %w", from, ErrOutsideCoverage)
 	}
 	dst, ok := n.stations[to]
 	if !ok {
-		return fmt.Errorf("cell: handoff target %v: %w", to, ErrOutsideCoverage)
+		return Handle{}, fmt.Errorf("cell: handoff target %v: %w", to, ErrOutsideCoverage)
 	}
-	c, ok := src.Call(callID)
+	c, ok := src.Call(h)
 	if !ok {
-		return fmt.Errorf("cell: handoff of call %d from %v: %w", callID, from, ErrUnknownCall)
+		return Handle{}, fmt.Errorf("cell: handoff from %v: %w", from, ErrUnknownCall)
 	}
 	if !dst.Fits(c.BU) {
-		return fmt.Errorf("cell: handoff of call %d (%d BU) into %v with %d BU free: %w",
-			callID, c.BU, to, dst.Free(), ErrInsufficientBandwidth)
+		return Handle{}, fmt.Errorf("cell: handoff of call %d (%d BU) into %v with %d BU free: %w",
+			c.ID, c.BU, to, dst.Free(), ErrInsufficientBandwidth)
 	}
-	if _, err := src.Release(callID); err != nil {
-		return err
+	moved := c
+	moved.AdmittedAt = now
+	moved.Handoff = true
+	// The call was admitted once, so after the Fits check the target
+	// admit cannot fail; admitting before releasing keeps the call on
+	// the network at every step.
+	nh, err := dst.Admit(moved)
+	if err != nil {
+		return Handle{}, err
 	}
-	c.AdmittedAt = now
-	c.Handoff = true
-	if err := dst.Admit(c); err != nil {
-		// Should be impossible after the Fits check; restore the source
-		// ledger to keep the network consistent.
-		_ = src.Admit(c)
-		return err
+	if _, err := src.Release(h); err != nil {
+		return Handle{}, err
 	}
-	return nil
+	return nh, nil
 }

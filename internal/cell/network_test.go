@@ -117,7 +117,7 @@ func TestNetworkCapacityAggregates(t *testing.T) {
 		t.Fatal("fresh network should be empty")
 	}
 	centre, _ := n.At(geo.Hex{Q: 0, R: 0})
-	if err := centre.Admit(Call{ID: 1, Class: traffic.Video, BU: 10}); err != nil {
+	if _, err := centre.Admit(Call{ID: 1, Class: traffic.Video, BU: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if n.TotalUsed() != 10 {
@@ -130,17 +130,22 @@ func TestHandoffMovesCall(t *testing.T) {
 	src, _ := n.At(geo.Hex{Q: 0, R: 0})
 	dstHex := geo.Hex{Q: 1, R: 0}
 	dst, _ := n.At(dstHex)
-	if err := src.Admit(Call{ID: 1, Class: traffic.Voice, BU: 5, AdmittedAt: 1}); err != nil {
+	h, err := src.Admit(Call{ID: 1, Class: traffic.Voice, BU: 5, AdmittedAt: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Handoff(1, src.Hex(), dstHex, 42); err != nil {
+	nh, err := n.Handoff(h, src.Hex(), dstHex, 42)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if src.NumCalls() != 0 || dst.NumCalls() != 1 {
 		t.Fatal("call did not move")
 	}
-	moved, _ := dst.Call(1)
-	if !moved.Handoff || moved.AdmittedAt != 42 {
+	if _, ok := src.Call(h); ok {
+		t.Fatal("source handle still resolves after the handoff")
+	}
+	moved, _ := dst.Call(nh)
+	if moved.ID != 1 || !moved.Handoff || moved.AdmittedAt != 42 {
 		t.Fatalf("handoff metadata wrong: %+v", moved)
 	}
 	if src.Used() != 0 || dst.Used() != 5 {
@@ -153,32 +158,45 @@ func TestHandoffFailures(t *testing.T) {
 	src, _ := n.At(geo.Hex{Q: 0, R: 0})
 	dstHex := geo.Hex{Q: 1, R: 0}
 	dst, _ := n.At(dstHex)
-	if err := src.Admit(Call{ID: 1, Class: traffic.Video, BU: 10}); err != nil {
+	h, err := src.Admit(Call{ID: 1, Class: traffic.Video, BU: 10})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Unknown call.
-	if err := n.Handoff(99, src.Hex(), dstHex, 0); !errors.Is(err, ErrUnknownCall) {
+	// Unknown call: the zero handle, and a handle the source never
+	// minted (foreign: the target's own).
+	if _, err := n.Handoff(Handle{}, src.Hex(), dstHex, 0); !errors.Is(err, ErrUnknownCall) {
 		t.Fatalf("err = %v, want ErrUnknownCall", err)
 	}
+	foreign, err := dst.Admit(Call{ID: 1, Class: traffic.Text, BU: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Handoff(foreign, src.Hex(), dstHex, 0); !errors.Is(err, ErrUnknownCall) {
+		t.Fatalf("foreign handle: err = %v, want ErrUnknownCall", err)
+	}
+	if _, err := dst.Release(foreign); err != nil {
+		t.Fatal(err)
+	}
 	// Unknown cells.
-	if err := n.Handoff(1, geo.Hex{Q: 9, R: 9}, dstHex, 0); !errors.Is(err, ErrOutsideCoverage) {
+	if _, err := n.Handoff(h, geo.Hex{Q: 9, R: 9}, dstHex, 0); !errors.Is(err, ErrOutsideCoverage) {
 		t.Fatalf("err = %v, want ErrOutsideCoverage", err)
 	}
-	if err := n.Handoff(1, src.Hex(), geo.Hex{Q: 9, R: 9}, 0); !errors.Is(err, ErrOutsideCoverage) {
+	if _, err := n.Handoff(h, src.Hex(), geo.Hex{Q: 9, R: 9}, 0); !errors.Is(err, ErrOutsideCoverage) {
 		t.Fatalf("err = %v, want ErrOutsideCoverage", err)
 	}
 	// Target full: fill dst to the brim.
 	for i := 0; i < 4; i++ {
-		if err := dst.Admit(Call{ID: 100 + i, Class: traffic.Video, BU: 10}); err != nil {
+		if _, err := dst.Admit(Call{ID: 100 + i, Class: traffic.Video, BU: 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := n.Handoff(1, src.Hex(), dstHex, 0)
+	_, err = n.Handoff(h, src.Hex(), dstHex, 0)
 	if !errors.Is(err, ErrInsufficientBandwidth) {
 		t.Fatalf("err = %v, want ErrInsufficientBandwidth", err)
 	}
-	// The failed handoff must leave the call at the source.
-	if _, ok := src.Call(1); !ok {
+	// The failed handoff must leave the call at the source, under the
+	// same handle.
+	if _, ok := src.Call(h); !ok {
 		t.Fatal("failed handoff lost the call")
 	}
 	if src.Used() != 10 {

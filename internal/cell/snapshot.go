@@ -40,9 +40,11 @@ func (b *BaseStation) SnapshotTo(w io.Writer) error {
 
 // RestoreFrom implements cac.Snapshotter: it replaces the station's
 // call set with the snapshot's. The blob is fully decoded and
-// validated (ascending IDs, valid classes, total bandwidth within
-// capacity) before any state changes, so a corrupt snapshot leaves the
-// station untouched.
+// validated (strictly ascending — hence unique — IDs, valid classes,
+// total bandwidth within capacity) before any state changes, so a
+// corrupt snapshot leaves the station untouched. The ascending-ID check
+// is where a station's call set is held to unique IDs: the station
+// itself admits by handle and never compares IDs.
 func (b *BaseStation) RestoreFrom(r io.Reader) error {
 	d, err := snap.NewDecoder(r, "base-station", b.snapshotHash())
 	if err != nil {
@@ -89,11 +91,15 @@ func (b *BaseStation) RestoreFrom(r io.Reader) error {
 	if err := d.Close(); err != nil {
 		return err
 	}
-	b.DetachCalls(nil)
-	// Validation above guarantees every Admit succeeds: IDs are unique,
-	// classes valid, and the total fits.
+	// Empty the pool, which stales every outstanding handle: the
+	// restored calls are re-admitted under fresh ones (HeldCalls hands
+	// them out). Validation above guarantees every Admit succeeds:
+	// classes are valid and the total fits.
+	b.pool.reset()
+	b.usedRT, b.usedNRT = 0, 0
+	b.classBU = [4]int{}
 	for i := range calls {
-		if err := b.Admit(calls[i]); err != nil {
+		if _, err := b.Admit(calls[i]); err != nil {
 			return err
 		}
 	}

@@ -166,7 +166,7 @@ func RunBatchAdmission(cfg BatchAdmissionConfig) (BatchAdmissionResult, error) {
 		if !req.Station.Fits(req.Call.BU) {
 			continue
 		}
-		if err := req.Station.Admit(req.Call); err != nil {
+		if _, err := req.Station.Admit(req.Call); err != nil {
 			return BatchAdmissionResult{}, err
 		}
 		if observer != nil {

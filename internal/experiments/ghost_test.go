@@ -163,6 +163,7 @@ func runUniformSCC(t *testing.T, shards int, exchange bool) ([]cac.Decision, sha
 
 	type held struct {
 		releaseWave, id int
+		h               cell.Handle
 		station         *cell.BaseStation
 	}
 	var active []held
@@ -177,7 +178,7 @@ func runUniformSCC(t *testing.T, shards int, exchange bool) ([]cac.Decision, sha
 				keep = append(keep, c)
 				continue
 			}
-			if err := engine.Release(c.id, c.station, now); err != nil {
+			if err := engine.Release(c.id, c.h, c.station, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -205,7 +206,7 @@ func runUniformSCC(t *testing.T, shards int, exchange bool) ([]cac.Decision, sha
 			}
 			decisions = append(decisions, resp.Decision)
 			if resp.Committed {
-				active = append(active, held{wave + uniformHoldWaves, reqs[i].Call.ID, reqs[i].Station})
+				active = append(active, held{wave + uniformHoldWaves, reqs[i].Call.ID, resp.Handle, reqs[i].Station})
 			}
 		}
 	}

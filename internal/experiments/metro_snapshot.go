@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"facs/internal/cac"
+	"facs/internal/cell"
 	"facs/internal/snap"
 	"facs/internal/traffic"
 )
@@ -188,7 +189,7 @@ func (r *metroRun) restoreFrom(rd io.Reader) error {
 		if release < 0 {
 			d.Fail("call %d has negative release wave %d", id, release)
 		}
-		led.push(id, class, bu, station, release)
+		led.push(id, class, bu, station, cell.Handle{}, release)
 	}
 
 	callDraws := d.U64()
@@ -252,6 +253,13 @@ func (r *metroRun) restoreFrom(rd io.Reader) error {
 		}
 	}
 
+	// The restored stations carry every call under a fresh handle; hand
+	// each ledger row its own, or refuse a ledger the stations disagree
+	// with.
+	if err := r.resolveHandles(&led); err != nil {
+		return err
+	}
+
 	r.wave = wave
 	r.nextID = nextID
 	r.result.Requested = counters[0]
@@ -271,6 +279,40 @@ func (r *metroRun) restoreFrom(rd io.Reader) error {
 	}
 	r.callSrc.Skip(callDraws - r.callSrc.Draws())
 	r.handoffSrc.Skip(handoffDraws - r.handoffSrc.Draws())
+	return nil
+}
+
+// resolveHandles gives every restored ledger row the handle under which
+// its station now carries the call. The match is exact: a call ID held
+// by two rows, a row whose station does not carry its call (with the
+// row's class and bandwidth), and a carried call no row holds all fail
+// the restore, because the wave loop would otherwise release or hand
+// off calls that are not there — or never release ones that are.
+func (r *metroRun) resolveHandles(led *metroLedger) error {
+	rows := make(map[int]int, led.len())
+	for i, id := range led.id {
+		if _, dup := rows[int(id)]; dup {
+			return fmt.Errorf("experiments: snapshot ledger holds call %d twice", id)
+		}
+		rows[int(id)] = i
+	}
+	for si, bs := range r.workload.stations {
+		for _, hc := range bs.HeldCalls() {
+			i, ok := rows[hc.ID]
+			if !ok || int(led.station[i]) != si {
+				return fmt.Errorf("experiments: station %d carries call %d, which the snapshot ledger does not hold there", si, hc.ID)
+			}
+			if led.handle[i] != (cell.Handle{}) || led.class[i] != hc.Class || int(led.bu[i]) != hc.BU {
+				return fmt.Errorf("experiments: snapshot ledger row for call %d disagrees with station %d", hc.ID, si)
+			}
+			led.handle[i] = hc.Handle
+		}
+	}
+	for i, h := range led.handle {
+		if h == (cell.Handle{}) {
+			return fmt.Errorf("experiments: snapshot ledger holds call %d at station %d, which does not carry it", led.id[i], led.station[i])
+		}
+	}
 	return nil
 }
 

@@ -358,20 +358,28 @@ func (r MetropolisResult) DropPct() float64 {
 	return 100 * float64(r.HandoffDropped) / float64(r.Handoffs)
 }
 
-// metroOutcome is one admission outcome as hashed into DecisionHash.
+// metroOutcome is one admission outcome: the verdict and commit bits
+// hashed into DecisionHash, plus the handle naming the committed call
+// (zero unless committed), which the ledger keeps for the call's
+// release or next handoff.
 type metroOutcome struct {
 	accepted  bool
 	committed bool
+	h         cell.Handle
 }
 
 // metroEngine abstracts the three decision paths behind the wave loop.
 type metroEngine interface {
 	controllerName() (string, error)
 	submitWave(reqs []cac.Request, out []metroOutcome) error
-	release(id int, station *cell.BaseStation, now float64) error
-	// handoff runs the two-phase transfer protocol and reports the
-	// target-side outcome plus whether the transfer crossed shards.
-	handoff(id int, class traffic.Class, bu int, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error)
+	// release retires the live call h names; a handle the station does
+	// not carry under that ID is an error, because the driver's ledger
+	// says the call is live.
+	release(id int, h cell.Handle, station *cell.BaseStation, now float64) error
+	// handoff runs the two-phase transfer protocol for the call h names
+	// at from and reports the target-side outcome (with the call's new
+	// handle when committed) plus whether the transfer crossed shards.
+	handoff(id int, h cell.Handle, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error)
 	tick(now float64) error
 	close() error
 }
@@ -404,17 +412,18 @@ func (e *inlineMetroEngine) controllerName() (string, error) { return e.ctrl.Nam
 // allocate on the station with the request's time and handoff flag, and
 // notify observer controllers. A failed admit (bandwidth claimed by
 // earlier accepts in the same chunk) leaves the request uncommitted.
-func (e *inlineMetroEngine) commit(req cac.Request) bool {
+func (e *inlineMetroEngine) commit(req cac.Request) metroOutcome {
 	call := req.Call
 	call.AdmittedAt = req.Now
 	call.Handoff = req.Handoff
-	if err := req.Station.Admit(call); err != nil {
-		return false
+	h, err := req.Station.Admit(call)
+	if err != nil {
+		return metroOutcome{accepted: true}
 	}
 	if e.observer != nil {
 		e.observer.OnAdmit(req)
 	}
-	return true
+	return metroOutcome{accepted: true, committed: true, h: h}
 }
 
 func (e *inlineMetroEngine) submitWave(reqs []cac.Request, out []metroOutcome) error {
@@ -428,29 +437,42 @@ func (e *inlineMetroEngine) submitWave(reqs []cac.Request, out []metroOutcome) e
 			return err
 		}
 		for i := range chunk {
-			d := e.dec[i]
-			out[lo+i] = metroOutcome{accepted: d.Accepted()}
-			if d.Accepted() {
-				out[lo+i].committed = e.commit(chunk[i])
+			out[lo+i] = metroOutcome{}
+			if e.dec[i].Accepted() {
+				out[lo+i] = e.commit(chunk[i])
 			}
 		}
 	}
 	return nil
 }
 
-func (e *inlineMetroEngine) release(id int, station *cell.BaseStation, now float64) error {
-	// Mirror serve.Service.Release: a failed station release is counted
-	// by the service, not fatal; observers hear the release either way.
-	_, _ = station.Release(id)
+func (e *inlineMetroEngine) release(id int, h cell.Handle, station *cell.BaseStation, now float64) error {
+	if _, err := releaseHeld(id, h, station); err != nil {
+		return err
+	}
 	if e.observer != nil {
 		e.observer.OnRelease(id, station, now)
 	}
 	return nil
 }
 
-func (e *inlineMetroEngine) handoff(id int, class traffic.Class, bu int, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error) {
+// releaseHeld releases the call h names at station and checks it is the
+// call id the ledger holds there.
+func releaseHeld(id int, h cell.Handle, station *cell.BaseStation) (cell.Call, error) {
+	c, err := station.Release(h)
+	if err != nil {
+		return cell.Call{}, fmt.Errorf("experiments: ledger call %d: %w", id, err) //facs:alloc error path; the run fails
+	}
+	if c.ID != id {
+		return cell.Call{}, fmt.Errorf("experiments: ledger call %d: its handle named call %d", id, c.ID) //facs:alloc error path; the run fails
+	}
+	return c, nil
+}
+
+func (e *inlineMetroEngine) handoff(id int, h cell.Handle, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error) {
 	// Phase 1: release at the source (shard.Engine's protocol order).
-	if _, err := from.Release(id); err != nil {
+	c, err := releaseHeld(id, h, from)
+	if err != nil {
 		return metroOutcome{}, false, err
 	}
 	if e.observer != nil {
@@ -461,25 +483,23 @@ func (e *inlineMetroEngine) handoff(id int, class traffic.Class, bu int, from, t
 	// request and decision ride the engine's persistent scratch so the
 	// two-phase protocol stays allocation-free.
 	e.scratch[0] = cac.Request{
-		Call:    cell.Call{ID: id, Class: class, BU: bu},
+		Call:    cell.Call{ID: id, Class: c.Class, BU: c.BU},
 		Station: to,
 		Obs:     gps.Observe(est, to.Pos()),
 		Est:     est,
 		Handoff: true,
 		Now:     now,
 	}
-	err := cac.DecideAllInto(e.ctrl, e.scratch[:], e.dec[:1])
+	err = cac.DecideAllInto(e.ctrl, e.scratch[:], e.dec[:1])
 	req := e.scratch[0]
 	e.scratch[0] = cac.Request{}
 	if err != nil {
 		return metroOutcome{}, false, err
 	}
-	d := e.dec[0]
-	outcome := metroOutcome{accepted: d.Accepted()}
-	if d.Accepted() {
-		outcome.committed = e.commit(req)
+	if !e.dec[0].Accepted() {
+		return metroOutcome{}, false, nil
 	}
-	return outcome, false, nil
+	return e.commit(req), false, nil
 }
 
 func (e *inlineMetroEngine) tick(now float64) error {
@@ -517,23 +537,24 @@ func (e *shardMetroEngine) submitWave(reqs []cac.Request, out []metroOutcome) er
 		if resp.Err != nil && !resp.Decision.Accepted() {
 			return resp.Err
 		}
-		out[i] = metroOutcome{accepted: resp.Decision.Accepted(), committed: resp.Committed}
+		out[i] = metroOutcome{accepted: resp.Decision.Accepted(), committed: resp.Committed, h: resp.Handle}
 	}
 	return nil
 }
 
-func (e *shardMetroEngine) release(id int, station *cell.BaseStation, now float64) error {
-	return e.engine.Release(id, station, now)
+func (e *shardMetroEngine) release(id int, h cell.Handle, station *cell.BaseStation, now float64) error {
+	return e.engine.Release(id, h, station, now)
 }
 
-func (e *shardMetroEngine) handoff(id int, class traffic.Class, bu int, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error) {
-	res := e.engine.HandoffCall(shard.Handoff{CallID: id, From: from, To: to, Est: est, Now: now})
+func (e *shardMetroEngine) handoff(id int, h cell.Handle, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error) {
+	res := e.engine.HandoffCall(shard.Handoff{CallID: id, Handle: h, From: from, To: to, Est: est, Now: now})
 	if res.Err != nil {
 		return metroOutcome{}, res.CrossShard, res.Err
 	}
 	return metroOutcome{
 		accepted:  res.Response.Decision.Accepted(),
 		committed: res.Response.Committed,
+		h:         res.Response.Handle,
 	}, res.CrossShard, nil
 }
 
@@ -576,14 +597,16 @@ type metroLedger struct {
 	class   []traffic.Class
 	bu      []int8
 	station []int32 // index into the network's (Q, R) station order
+	handle  []cell.Handle
 	release []int32 // wave at which the call retires
 }
 
-func (l *metroLedger) push(id int, class traffic.Class, bu int, station int, release int) {
+func (l *metroLedger) push(id int, class traffic.Class, bu int, station int, h cell.Handle, release int) {
 	l.id = append(l.id, int32(id))
 	l.class = append(l.class, class)
 	l.bu = append(l.bu, int8(bu))
 	l.station = append(l.station, int32(station))
+	l.handle = append(l.handle, h)
 	l.release = append(l.release, int32(release))
 }
 
@@ -592,6 +615,7 @@ func (l *metroLedger) set(dst, src int) {
 	l.class[dst] = l.class[src]
 	l.bu[dst] = l.bu[src]
 	l.station[dst] = l.station[src]
+	l.handle[dst] = l.handle[src]
 	l.release[dst] = l.release[src]
 }
 
@@ -600,6 +624,7 @@ func (l *metroLedger) truncate(n int) {
 	l.class = l.class[:n]
 	l.bu = l.bu[:n]
 	l.station = l.station[:n]
+	l.handle = l.handle[:n]
 	l.release = l.release[:n]
 }
 
@@ -611,8 +636,11 @@ func (l *metroLedger) len() int { return len(l.id) }
 type metroWorkload struct {
 	cfg      MetropolisConfig
 	stations []*cell.BaseStation
-	// stationIdx inverts the (Q, R) station order for handoff targets.
-	stationIdx map[geo.Hex]int
+	// neighbors lists each station's neighbour indices in hex-direction
+	// order (geo.Hex.Neighbors), -1 where the direction leaves the
+	// deployment: the handoff round's target candidates, precomputed
+	// so sampling them is a table read.
+	neighbors [][6]int32
 	// prox is each cell's summed Gaussian proximity to the hotspots in
 	// [0, Hotspots].
 	prox []float64
@@ -664,14 +692,11 @@ func rushDirection(hour float64) float64 {
 
 func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 	w := &metroWorkload{
-		cfg:        cfg,
-		stations:   net.Stations(),
-		stationIdx: make(map[geo.Hex]int, net.NumCells()),
-		inradiusM:  cfg.CellRadiusM * math.Sqrt(3) / 2,
+		cfg:       cfg,
+		stations:  net.Stations(),
+		inradiusM: cfg.CellRadiusM * math.Sqrt(3) / 2,
 	}
-	for i, bs := range w.stations {
-		w.stationIdx[bs.Hex()] = i
-	}
+	w.neighbors = neighborTable(w.stations)
 	// Hotspots: evenly spaced picks from the spiral order, skipping the
 	// exact centre so the downtown cluster sits off-origin.
 	hotspots := make([]geo.Hex, 0, cfg.Hotspots)
@@ -700,6 +725,47 @@ func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 	w.mixCum[1] = w.mixCum[0] + cfg.Mix.Voice/total
 	w.mixCum[2] = 1
 	return w
+}
+
+// neighborTable maps each station's six hex neighbours to station
+// indices (-1 outside the deployment) through a dense grid over the
+// stations' axial bounding box, so building it costs array reads, not
+// hash lookups.
+func neighborTable(stations []*cell.BaseStation) [][6]int32 {
+	minQ, maxQ, minR, maxR := 0, 0, 0, 0
+	for i, bs := range stations {
+		h := bs.Hex()
+		if i == 0 || h.Q < minQ {
+			minQ = h.Q
+		}
+		if i == 0 || h.Q > maxQ {
+			maxQ = h.Q
+		}
+		if i == 0 || h.R < minR {
+			minR = h.R
+		}
+		if i == 0 || h.R > maxR {
+			maxR = h.R
+		}
+	}
+	cols := maxR - minR + 1
+	grid := make([]int32, (maxQ-minQ+1)*cols)
+	for i := range grid {
+		grid[i] = -1
+	}
+	for i, bs := range stations {
+		grid[(bs.Hex().Q-minQ)*cols+bs.Hex().R-minR] = int32(i)
+	}
+	out := make([][6]int32, len(stations))
+	for i, bs := range stations {
+		for d, nh := range bs.Hex().Neighbors() {
+			out[i][d] = -1
+			if nh.Q >= minQ && nh.Q <= maxQ && nh.R >= minR && nh.R <= maxR {
+				out[i][d] = grid[(nh.Q-minQ)*cols+nh.R-minR]
+			}
+		}
+	}
+	return out
 }
 
 func (w *metroWorkload) hourOf(wave int) float64 {
@@ -796,14 +862,13 @@ func (w *metroWorkload) sampleHandoffTarget(rng *rand.Rand, si int, wave int) (i
 	var targets [6]int
 	n, total := 0, 0.0
 	cur := w.prox[si]
-	for _, nh := range w.stations[si].Hex().Neighbors() {
-		ti, ok := w.stationIdx[nh]
-		if !ok {
+	for _, ti := range w.neighbors[si] {
+		if ti < 0 {
 			continue
 		}
 		wt := math.Exp(steer * (w.prox[ti] - cur))
 		weights[n] = wt
-		targets[n] = ti
+		targets[n] = int(ti)
 		n++
 		total += wt
 	}
@@ -1006,7 +1071,7 @@ func (r *metroRun) runWave() error {
 	keep := 0
 	for i := 0; i < r.ledger.len(); i++ {
 		if r.ledger.release[i] <= int32(wave) {
-			if err := engine.release(int(r.ledger.id[i]), workload.stations[r.ledger.station[i]], now); err != nil {
+			if err := engine.release(int(r.ledger.id[i]), r.ledger.handle[i], workload.stations[r.ledger.station[i]], now); err != nil {
 				return err
 			}
 			r.result.Released++
@@ -1047,8 +1112,7 @@ func (r *metroRun) runWave() error {
 				continue
 			}
 			est := workload.sampleEstimate(r.handoffRNG, ti, now)
-			outcome, crossShard, err := engine.handoff(
-				int(r.ledger.id[i]), r.ledger.class[i], int(r.ledger.bu[i]),
+			outcome, crossShard, err := engine.handoff(int(r.ledger.id[i]), r.ledger.handle[i],
 				workload.stations[si], workload.stations[ti], est, now)
 			if err != nil {
 				return err
@@ -1063,6 +1127,7 @@ func (r *metroRun) runWave() error {
 				continue // the call is lost; the source released it
 			}
 			r.ledger.station[i] = int32(ti)
+			r.ledger.handle[i] = outcome.h
 			if keep != i {
 				r.ledger.set(keep, i)
 			}
@@ -1108,7 +1173,7 @@ func (r *metroRun) runWave() error {
 			if o.committed {
 				r.result.Committed++
 				r.ledger.push(reqs[i].Call.ID, reqs[i].Call.Class, reqs[i].Call.BU,
-					cells[i], wave+holds[i])
+					cells[i], o.h, wave+holds[i])
 			}
 		}
 	}
@@ -1133,7 +1198,16 @@ func (r *metroRun) finish() (MetropolisResult, error) {
 	r.result.FinalActive = r.ledger.len()
 	r.result.DecisionHash = uint64(r.hash)
 	if sme, ok := r.engine.(*shardMetroEngine); ok {
+		// Releases are asynchronous on the sharded path, so a release
+		// the ledger held live but the station did not carry surfaces
+		// here, as the services' op-error count, instead of at the call.
+		if err := sme.engine.Flush(); err != nil {
+			return MetropolisResult{}, err
+		}
 		st := sme.engine.Stats()
+		if st.Total.OpErrs != 0 {
+			return MetropolisResult{}, fmt.Errorf("experiments: %d ledger releases named calls their stations did not carry", st.Total.OpErrs)
+		}
 		r.result.Epoch = st.Epoch
 		r.result.Rebalances = st.Rebalances
 		r.result.Migrations = st.Migrations

@@ -205,6 +205,7 @@ func (r MultiCellResult) DropPct() float64 {
 // ends, so long runs do not leave one heap object per historical call.
 type activeCall struct {
 	id       int
+	h        cell.Handle
 	bu       int
 	class    traffic.Class
 	walk     *mobility.TurningWalk
@@ -448,7 +449,8 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 	if !decision.Accepted() {
 		return
 	}
-	if err := bs.Admit(cacReq.Call); err != nil {
+	h, err := bs.Admit(cacReq.Call)
+	if err != nil {
 		r.err = fmt.Errorf("experiments: controller accepted an unfittable call: %w", err)
 		return
 	}
@@ -459,6 +461,7 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 	}
 	call := r.arena.alloc()
 	call.id = req.ID
+	call.h = h
 	call.bu = req.BU
 	call.class = req.Class
 	call.walk = walk
@@ -487,7 +490,7 @@ func (r *multiCellRun) complete(s *sim.Scheduler, call *activeCall) {
 		r.err = fmt.Errorf("experiments: call %d completed in unknown cell %v", call.id, call.hex)
 		return
 	}
-	if _, err := bs.Release(call.id); err != nil {
+	if _, err := bs.Release(call.h); err != nil {
 		r.err = err
 		return
 	}
@@ -512,7 +515,7 @@ func (r *multiCellRun) dropCall(s *sim.Scheduler, call *activeCall) {
 		r.err = fmt.Errorf("experiments: dropping call %d from unknown cell %v", call.id, call.hex)
 		return
 	}
-	if _, err := src.Release(call.id); err != nil {
+	if _, err := src.Release(call.h); err != nil {
 		r.err = err
 		return
 	}
@@ -573,7 +576,8 @@ func (r *multiCellRun) move(s *sim.Scheduler, call *activeCall) {
 				return
 			}
 		}
-		if err := r.net.Handoff(call.id, call.hex, newBS.Hex(), s.Now()); err != nil {
+		nh, err := r.net.Handoff(call.h, call.hex, newBS.Hex(), s.Now())
+		if err != nil {
 			if errors.Is(err, cell.ErrInsufficientBandwidth) {
 				r.dropCall(s, call)
 				return
@@ -581,6 +585,7 @@ func (r *multiCellRun) move(s *sim.Scheduler, call *activeCall) {
 			r.err = err
 			return
 		}
+		call.h = nh
 		call.hex = newBS.Hex()
 		if r.updater != nil {
 			r.updater.OnStateUpdate(call.id, gps.Estimate{

@@ -358,7 +358,8 @@ func (r *singleCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 
 // admit allocates the call and schedules its release.
 func (r *singleCellRun) admit(s *sim.Scheduler, cacReq cac.Request, holding float64) {
-	if err := r.bs.Admit(cacReq.Call); err != nil {
+	h, err := r.bs.Admit(cacReq.Call)
+	if err != nil {
 		r.err = fmt.Errorf("experiments: controller accepted an unfittable call: %w", err)
 		return
 	}
@@ -368,7 +369,7 @@ func (r *singleCellRun) admit(s *sim.Scheduler, cacReq cac.Request, holding floa
 	}
 	callID := cacReq.Call.ID
 	if _, err := s.After(holding, func(s *sim.Scheduler) {
-		if _, err := r.bs.Release(callID); err != nil {
+		if _, err := r.bs.Release(h); err != nil {
 			r.err = err
 			return
 		}

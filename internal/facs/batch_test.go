@@ -35,7 +35,7 @@ func batchWorkload(t *testing.T, rng *rand.Rand, n int) []cac.Request {
 			default:
 				bu, class = 1, traffic.Text
 			}
-			if err := bs.Admit(cell.Call{ID: id, Class: class, BU: bu}); err != nil {
+			if _, err := bs.Admit(cell.Call{ID: id, Class: class, BU: bu}); err != nil {
 				t.Fatal(err)
 			}
 			filled += bu

@@ -187,8 +187,8 @@ func TestCompiledDecideMatchesSystem(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		// Random occupancy between trials.
 		if bs.Used() > 30 || (bs.Used() > 0 && rng.Intn(3) == 0) {
-			for _, c := range bs.Calls() {
-				if _, err := bs.Release(c.ID); err != nil {
+			for _, c := range bs.HeldCalls() {
+				if _, err := bs.Release(c.Handle); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -222,7 +222,7 @@ func TestCompiledDecideMatchesSystem(t *testing.T) {
 				req.Obs, bs.Used(), want, got)
 		}
 		if want.Accepted() {
-			if err := bs.Admit(req.Call); err != nil {
+			if _, err := bs.Admit(req.Call); err != nil {
 				t.Fatal(err)
 			}
 		}

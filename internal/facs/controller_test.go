@@ -25,21 +25,21 @@ func fillBU(t *testing.T, bs *cell.BaseStation, bu int) {
 	t.Helper()
 	id := 10000
 	for bu >= 10 {
-		if err := bs.Admit(cell.Call{ID: id, Class: traffic.Video, BU: 10}); err != nil {
+		if _, err := bs.Admit(cell.Call{ID: id, Class: traffic.Video, BU: 10}); err != nil {
 			t.Fatal(err)
 		}
 		id++
 		bu -= 10
 	}
 	for bu >= 5 {
-		if err := bs.Admit(cell.Call{ID: id, Class: traffic.Voice, BU: 5}); err != nil {
+		if _, err := bs.Admit(cell.Call{ID: id, Class: traffic.Voice, BU: 5}); err != nil {
 			t.Fatal(err)
 		}
 		id++
 		bu -= 5
 	}
 	for bu > 0 {
-		if err := bs.Admit(cell.Call{ID: id, Class: traffic.Text, BU: 1}); err != nil {
+		if _, err := bs.Admit(cell.Call{ID: id, Class: traffic.Text, BU: 1}); err != nil {
 			t.Fatal(err)
 		}
 		id++

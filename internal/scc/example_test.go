@@ -45,7 +45,7 @@ func ExampleLedger() {
 
 	// The caller allocates on accept, then notifies the ledger so the
 	// call's demand footprint enters the projection matrix.
-	if err := bs.Admit(req.Call); err != nil {
+	if _, err := bs.Admit(req.Call); err != nil {
 		panic(err)
 	}
 	ledger.OnAdmit(req)

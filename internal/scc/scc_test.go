@@ -223,7 +223,7 @@ func TestDecideEnforcesSurvivabilityThreshold(t *testing.T) {
 		if d != cac.Accept {
 			break
 		}
-		if err := bs.Admit(req.Call); err != nil {
+		if _, err := bs.Admit(req.Call); err != nil {
 			t.Fatal(err)
 		}
 		c.OnAdmit(req)
@@ -289,7 +289,7 @@ func TestDecideRespectsPhysicalFit(t *testing.T) {
 	c := newSCC(t, net, func(cfg *Config) { cfg.Threshold = 1 })
 	bs, _ := net.At(geo.Hex{Q: 0, R: 0})
 	for i := 0; i < 3; i++ {
-		if err := bs.Admit(cell.Call{ID: i, Class: traffic.Video, BU: 10}); err != nil {
+		if _, err := bs.Admit(cell.Call{ID: i, Class: traffic.Video, BU: 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +303,7 @@ func TestDecideRespectsPhysicalFit(t *testing.T) {
 	if d != cac.Accept {
 		t.Fatal("exactly-fitting call with tau=1 should be accepted")
 	}
-	if err := bs.Admit(cell.Call{ID: 90, Class: traffic.Voice, BU: 5}); err != nil {
+	if _, err := bs.Admit(cell.Call{ID: 90, Class: traffic.Voice, BU: 5}); err != nil {
 		t.Fatal(err)
 	}
 	d, err = c.Decide(sccRequest(t, net, 51, traffic.Video, geo.Point{}, 0, 0))

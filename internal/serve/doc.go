@@ -35,7 +35,9 @@
 // # Entry points
 //
 // New starts a Service; Submit/SubmitAll stream requests; Tick,
-// Release and UpdateState forward controller lifecycle events; Do and
+// Release and UpdateState forward controller lifecycle events (Release
+// addresses the call by the cell.Handle its commit returned in
+// Response.Handle); Do and
 // Flush are serialized barriers; Stats snapshots throughput, latency
 // (avg/max plus p50/p99 from a mergeable power-of-two histogram),
 // accept-rate and batching counters; Close drains and stops. The

@@ -69,6 +69,10 @@ type Response struct {
 	// against the same snapshot, per the BatchController contract — already
 	// claimed the remaining bandwidth; Err then carries the cause.
 	Committed bool
+	// Handle names the committed call at its station (zero unless
+	// Committed). Holders pass it back to Release, or to the sharded
+	// engine's handoff protocol, to reach the call without an ID lookup.
+	Handle cell.Handle
 	// Err is the decision or commit error, if any. A decision error
 	// forces Decision to Reject.
 	Err error
@@ -461,14 +465,18 @@ func (s *Service) Tick(now float64) error {
 	}}})
 }
 
-// Release retires a carried call: in Commit mode the bandwidth is
-// released on the station (a failure counts into Stats.OpErrs), and
-// observer controllers are notified either way. Asynchronous, ordered
-// after everything already enqueued.
-func (s *Service) Release(callID int, station *cell.BaseStation, now float64) error {
+// Release retires a carried call: in Commit mode the call h names
+// (Response.Handle) is released on the station — a stale or foreign
+// handle, or one naming a call other than callID, releases nothing and
+// counts into Stats.OpErrs — and observer controllers are notified of
+// callID either way. Asynchronous, ordered after everything already
+// enqueued.
+func (s *Service) Release(callID int, h cell.Handle, station *cell.BaseStation, now float64) error {
 	return s.send(item{op: &op{fn: func(ctrl cac.Controller) {
 		if s.cfg.Commit {
-			if _, err := station.Release(callID); err != nil {
+			if c, ok := station.Call(h); !ok || c.ID != callID {
+				s.opErrs.Add(1)
+			} else if _, err := station.Release(h); err != nil {
 				s.opErrs.Add(1)
 			}
 		}
@@ -684,7 +692,8 @@ func (s *Service) finish(req cac.Request, d cac.Decision, batchSize int) Respons
 	call := req.Call
 	call.AdmittedAt = req.Now
 	call.Handoff = req.Handoff
-	if err := req.Station.Admit(call); err != nil {
+	h, err := req.Station.Admit(call)
+	if err != nil {
 		// Accepted against the batch-start snapshot, but earlier
 		// accepts in the same chunk exhausted the bandwidth.
 		s.commitErrs.Add(1)
@@ -692,6 +701,7 @@ func (s *Service) finish(req cac.Request, d cac.Decision, batchSize int) Respons
 		return resp
 	}
 	resp.Committed = true
+	resp.Handle = h
 	s.committed.Add(1)
 	if obs, ok := s.cfg.Controller.(cac.Observer); ok {
 		obs.OnAdmit(req)

@@ -33,7 +33,7 @@ func testNetwork(t *testing.T, seed int64) *cell.Network {
 		for bs.Used() < bs.Capacity()/2 {
 			class := traffic.DefaultMix().Sample(rng)
 			id++
-			if err := bs.Admit(cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()}); err != nil {
+			if _, err := bs.Admit(cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()}); err != nil {
 				break
 			}
 		}
@@ -158,7 +158,7 @@ func replayWave(t *testing.T, ctrl cac.Controller, reqs []cac.Request, maxBatch 
 			call := chunk[i].Call
 			call.AdmittedAt = chunk[i].Now
 			call.Handoff = chunk[i].Handoff
-			if err := chunk[i].Station.Admit(call); err != nil {
+			if _, err := chunk[i].Station.Admit(call); err != nil {
 				out[lo+i].Err = err
 				continue
 			}
@@ -290,13 +290,14 @@ func TestOpsSerializedWithDecisions(t *testing.T) {
 	if err := s.Tick(100); err != nil {
 		t.Fatal(err)
 	}
-	if r := s.Submit(mkReq(4)); r.Err != nil {
-		t.Fatal(r.Err)
+	r4 := s.Submit(mkReq(4))
+	if r4.Err != nil || !r4.Committed {
+		t.Fatalf("request 4: %+v", r4)
 	}
 	if err := s.UpdateState(4, gps.Estimate{}, bs); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Release(4, bs, 101); err != nil {
+	if err := s.Release(4, r4.Handle, bs, 101); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -667,5 +668,51 @@ func TestSubmitAllIntoMatchesSubmitAll(t *testing.T) {
 	}
 	if err := b.SubmitAllInto(nil, nil); err != nil {
 		t.Fatalf("empty wave: %v", err)
+	}
+}
+
+// TestReleaseUnknownHandleCountsOpErr pins Release's handle contract in
+// Commit mode: a stale handle, the zero handle, and a live handle
+// presented under another call's ID release nothing and each count one
+// op error, while observers still hear the release.
+func TestReleaseUnknownHandleCountsOpErr(t *testing.T) {
+	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := &scriptController{}
+	s, err := New(Config{Controller: ctrl, MaxBatch: 8, Commit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	req := func(id int) cac.Request {
+		return cac.Request{Call: cell.Call{ID: id, Class: traffic.Voice, BU: 5}, Station: bs}
+	}
+	r2, r4 := s.Submit(req(2)), s.Submit(req(4))
+	if !r2.Committed || !r4.Committed {
+		t.Fatalf("setup commits: %+v %+v", r2, r4)
+	}
+	for _, op := range []struct {
+		id int
+		h  cell.Handle
+	}{
+		{2, r2.Handle},     // valid: releases call 2
+		{2, r2.Handle},     // stale now
+		{4, cell.Handle{}}, // zero
+		{6, r4.Handle},     // live handle, wrong ID
+	} {
+		if err := s.Release(op.id, op.h, bs, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.OpErrs != 3 {
+		t.Fatalf("OpErrs = %d, want 3", st.OpErrs)
+	}
+	if c, ok := bs.Call(r4.Handle); !ok || c.ID != 4 || bs.NumCalls() != 1 || bs.Used() != 5 {
+		t.Fatalf("failed releases disturbed call 4: %+v,%v calls=%d used=%d", c, ok, bs.NumCalls(), bs.Used())
 	}
 }

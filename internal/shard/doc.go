@@ -65,9 +65,12 @@
 // work, and every Nth Tick barrier plans a new ownership epoch with
 // PlanRebalance — a pure greedy bin-packing function (identical load
 // snapshots give identical plans on every replay) — then migrates the
-// planned cells inside the barrier: the source shard detaches the
-// cell's call slots and, for cac.CellMigrator controllers, its
-// per-cell controller rows; the destination attaches both; the epoch
+// planned cells inside the barrier: for cac.CellMigrator controllers
+// the source shard extracts the cell's per-cell controller rows and
+// the destination inserts them (the station object and its call slots
+// stay where they are, so call handles held by clients stay valid
+// across the epoch; only the loop that serializes the station's
+// mutations changes); the epoch
 // pointer swaps; and every exchanger is reset (cac.ExchangeResetter)
 // so the next export republishes the absolute demand matrix under the
 // new layout. Construction refuses the cadence unless every controller
@@ -91,7 +94,10 @@
 // New starts the engine; SubmitWave / Submit / SubmitAsync decide
 // traffic; Tick is a cross-shard barrier (hosting the ghost exchange);
 // Release / UpdateState route to the owner shard; HandoffCall /
-// HandoffAsync run the two-phase cross-shard handoff; ForceRebalance
+// HandoffAsync run the two-phase cross-shard handoff (Release and the
+// handoffs address a call by the cell.Handle its commit returned in
+// serve.Response.Handle, so the station never looks an ID up);
+// ForceRebalance
 // applies an epoch on demand; Epoch, ShardOf and View read the current
 // ownership; Stats aggregates per-shard serve.Stats (including merged
 // latency percentiles) with handoff, exchange and rebalance counters.

@@ -46,7 +46,7 @@ func ExampleEngine() {
 		fmt.Printf("call %d: %s committed=%v\n", i+1, r.Decision, r.Committed)
 	}
 
-	res := eng.HandoffCall(shard.Handoff{CallID: 1, From: stations[0], To: stations[1], Now: 5})
+	res := eng.HandoffCall(shard.Handoff{CallID: 1, Handle: responses[0].Handle, From: stations[0], To: stations[1], Now: 5})
 	fmt.Printf("handoff: %s cross-shard=%v dropped=%v\n",
 		res.Response.Decision, res.CrossShard, res.Dropped())
 

@@ -176,10 +176,14 @@ func TestForceRebalanceMigratesAndConserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := make(map[int]*cell.BaseStation)
+	type held struct {
+		bs *cell.BaseStation
+		h  cell.Handle
+	}
+	committed := make(map[int]held)
 	for i, r := range resps {
 		if r.Committed {
-			committed[reqs[i].Call.ID] = reqs[i].Station
+			committed[reqs[i].Call.ID] = held{bs: reqs[i].Station, h: r.Handle}
 		}
 	}
 	if len(committed) == 0 {
@@ -242,22 +246,112 @@ func TestForceRebalanceMigratesAndConserves(t *testing.T) {
 	}
 	// Every committed call is still carried and releasable via the
 	// re-routed engine.
-	for id, bs := range committed {
-		if _, ok := bs.Call(id); !ok {
-			t.Fatalf("call %d lost from %v by the rebalance", id, bs.Hex())
+	for id, c := range committed {
+		if got, ok := c.bs.Call(c.h); !ok || got.ID != id {
+			t.Fatalf("call %d lost from %v by the rebalance", id, c.bs.Hex())
 		}
 	}
-	for id, bs := range committed {
-		if err := e.Release(id, bs, 1000); err != nil {
+	for id, c := range committed {
+		if err := e.Release(id, c.h, c.bs, 1000); err != nil {
 			t.Fatalf("releasing migrated call %d: %v", id, err)
 		}
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for id, bs := range committed {
-		if _, ok := bs.Call(id); ok {
+	for id, c := range committed {
+		if _, ok := c.bs.Call(c.h); ok {
 			t.Fatalf("call %d still carried after release", id)
+		}
+	}
+	if st := e.Stats(); st.Total.OpErrs != 0 {
+		t.Fatalf("%d releases of migrated calls failed", st.Total.OpErrs)
+	}
+}
+
+// TestRebalanceKeepsCallHandles pins the handle contract across an
+// ownership epoch: the station objects never move, so every handle a
+// client took from a commit before the migration still names its call
+// afterwards — it releases through the re-routed engine, and it drives
+// a handoff whose new handle releases in turn — with no op or protocol
+// error anywhere.
+func TestRebalanceKeepsCallHandles(t *testing.T) {
+	net := testNetwork(t, 2) // 19 cells
+	e, err := New(Config{
+		Network: net, Shards: 4, Commit: true, NewController: guardFactory,
+		Partition: PartitionBlocks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// A hotspot on shard 0's block (cells 0..4) forces migrations.
+	reqs := genRequests(t, net, 53, 300)
+	stations := net.Stations()
+	for i := range reqs {
+		reqs[i].Station = stations[i%5]
+	}
+	resps, err := e.SubmitWave(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		req cac.Request
+		h   cell.Handle
+		rec cell.Call
+	}
+	var calls []held
+	for i, r := range resps {
+		if r.Committed {
+			rec, ok := reqs[i].Station.Call(r.Handle)
+			if !ok || rec.ID != reqs[i].Call.ID {
+				t.Fatalf("commit handle of call %d resolves to %+v,%v", reqs[i].Call.ID, rec, ok)
+			}
+			calls = append(calls, held{req: reqs[i], h: r.Handle, rec: rec})
+		}
+	}
+	if err := e.ForceRebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Migrations == 0 || st.MigratedCalls == 0 {
+		t.Fatalf("the hotspot epoch migrated nothing: %+v", st)
+	}
+
+	for i, c := range calls {
+		bs := c.req.Station
+		if rec, ok := bs.Call(c.h); !ok || rec != c.rec {
+			t.Fatalf("call %d after the epoch: %+v,%v, want %+v", c.rec.ID, rec, ok, c.rec)
+		}
+		if i%2 == 0 {
+			if err := e.Release(c.rec.ID, c.h, bs, 100); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		// Hand the odd calls to a cell outside the hotspot block, then
+		// release them there through the handle the handoff returned.
+		to := stations[5+i%(len(stations)-5)]
+		res := e.HandoffCall(Handoff{CallID: c.rec.ID, Handle: c.h, From: bs, To: to, Est: c.req.Est, Now: 100})
+		if res.Err != nil {
+			t.Fatalf("handoff of migrated call %d: %v", c.rec.ID, res.Err)
+		}
+		if res.Response.Committed {
+			if err := e.Release(c.rec.ID, res.Response.Handle, to, 101); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.Total.OpErrs != 0 || st.Errs != 0 {
+		t.Fatalf("handles held across the epoch failed: %d release errors, %d handoff errors", st.Total.OpErrs, st.Errs)
+	}
+	for _, bs := range stations {
+		if bs.NumCalls() != 0 || bs.Used() != 0 {
+			t.Fatalf("station %v still carries %d calls (%d BU)", bs.Hex(), bs.NumCalls(), bs.Used())
 		}
 	}
 }
@@ -295,6 +389,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 	var res soakResult
 	type liveCall struct {
 		id      int
+		h       cell.Handle
 		station *cell.BaseStation
 		est     gps.Estimate
 		due     int
@@ -307,7 +402,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 		keep := live[:0]
 		for _, c := range live {
 			if c.due <= round {
-				if err := e.Release(c.id, c.station, now); err != nil {
+				if err := e.Release(c.id, c.h, c.station, now); err != nil {
 					t.Fatalf("seed %d round %d: release %d: %v", seed, round, c.id, err)
 				}
 				continue
@@ -335,7 +430,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 					continue
 				}
 				to := nbrs[(c.id+round)%len(nbrs)]
-				r := e.HandoffCall(Handoff{CallID: c.id, From: c.station, To: to, Est: c.est, Now: now})
+				r := e.HandoffCall(Handoff{CallID: c.id, Handle: c.h, From: c.station, To: to, Est: c.est, Now: now})
 				if r.Err != nil {
 					t.Fatalf("seed %d round %d: handoff %d: %v", seed, round, c.id, r.Err)
 				}
@@ -347,6 +442,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 					live[i].id = -live[i].id // never released again (negative IDs skip)
 				} else {
 					live[i].station = to
+					live[i].h = r.Response.Handle
 				}
 			}
 			// Compact dropped entries.
@@ -374,7 +470,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 			res.outcomes = append(res.outcomes, outcome{d: r.Decision, committed: r.Committed})
 			if r.Committed {
 				live = append(live, liveCall{
-					id: reqs[i].Call.ID, station: reqs[i].Station, est: reqs[i].Est,
+					id: reqs[i].Call.ID, h: r.Handle, station: reqs[i].Station, est: reqs[i].Est,
 					due: round + 2 + (reqs[i].Call.ID % 5),
 				})
 			}

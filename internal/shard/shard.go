@@ -118,10 +118,11 @@ type Config struct {
 	// Tick barriers the engine snapshots its per-cell load counters
 	// (decisions routed since the last epoch plus current occupancy),
 	// runs the deterministic PlanRebalance planner, migrates the
-	// planned cells — station call slots and controller state move
-	// between shards through the serialized Do-op seam, inside the
-	// barrier — and publishes a new ownership epoch. 0 (the default)
-	// keeps the static partition. Rebalancing requires every controller
+	// planned cells — controller state moves between shards through
+	// the serialized Do-op seam, inside the barrier, while the station
+	// object and its call slots stay put, so every call handle held
+	// across the epoch stays valid — and publishes a new ownership
+	// epoch. 0 (the default) keeps the static partition. Rebalancing requires every controller
 	// to be cac.CellLocal or a cac.CellMigrator; exchanging controllers
 	// must additionally implement cac.ExchangeResetter so their ghost
 	// state can be re-seeded under the new ownership.
@@ -144,8 +145,14 @@ type Config struct {
 // on the same shard or different ones; the engine serializes either
 // case identically.
 type Handoff struct {
-	// CallID identifies the carried call at From.
+	// CallID identifies the carried call at From for the controllers'
+	// observer seam (cac.Observer.OnRelease and the target request).
 	CallID int
+	// Handle names the call at From (serve.Response.Handle of its
+	// commit, or of the handoff that brought it there). A handle that
+	// From does not carry, or that names a call other than CallID,
+	// fails the handoff with nothing released.
+	Handle cell.Handle
 	// From is the station currently carrying the call.
 	From *cell.BaseStation
 	// To is the station the call is moving into.
@@ -160,7 +167,8 @@ type Handoff struct {
 // HandoffResult is the outcome of one handoff.
 type HandoffResult struct {
 	// Response is the target shard's admission outcome. The call
-	// survives the handoff only when Response.Committed is set; an
+	// survives the handoff only when Response.Committed is set, and
+	// Response.Handle then names it at the target; an
 	// accepted-but-uncommitted or rejected handoff is a drop (the
 	// source side has already released — the mobile left that cell's
 	// coverage regardless).
@@ -168,10 +176,12 @@ type HandoffResult struct {
 	// CrossShard reports that source and target live on different
 	// shards.
 	CrossShard bool
-	// Err carries a protocol failure: unknown call at the source,
-	// unroutable station, or a closed engine. The target decision never
-	// ran when Err is non-nil and the release did not happen unless
-	// Err wraps the target shard's submission failure.
+	// Err carries a protocol failure: unknown call at the source (a
+	// stale or foreign Handle, or one naming a call other than CallID;
+	// it wraps cell.ErrUnknownCall), unroutable station, or a closed
+	// engine. The target decision never ran when Err is non-nil and the
+	// release did not happen unless Err wraps the target shard's
+	// submission failure.
 	Err error
 }
 
@@ -307,14 +317,15 @@ func (s Stats) String() string {
 // Elastic ownership: the cell-to-shard map is an immutable epoch
 // snapshot behind an atomic pointer. With RebalanceEveryTicks set, the
 // Tick barrier periodically plans (PlanRebalance, a pure function of
-// the per-cell load counters) and applies cell migrations — station
-// call slots detach on the old owner's loop and attach on the new
-// owner's, controller state moves through cac.CellMigrator, ghost
-// state re-seeds through cac.ExchangeResetter — then publishes the
-// next epoch. Every step runs inside the barrier on serialized Do ops,
-// so the replay contracts above survive rebalancing unchanged: for
-// cell-local controllers a migration changes only which loop
-// serializes a station's (unchanged) request stream.
+// the per-cell load counters) and applies cell migrations — a
+// station's mutation passes from the old owner's loop to the new
+// owner's (the station and its call handles never move), controller
+// state moves through cac.CellMigrator, ghost state re-seeds through
+// cac.ExchangeResetter — then publishes the next epoch. Every step
+// runs inside the barrier on serialized Do ops, so the replay contracts
+// above survive rebalancing unchanged: for cell-local controllers a
+// migration changes only which loop serializes a station's (unchanged)
+// request stream.
 //
 // Handoffs travel a dedicated FIFO queue processed by one protocol
 // worker: release on the source shard (a serialized barrier op), then
@@ -360,8 +371,7 @@ type Engine struct {
 
 	// Migration scratch, touched only inside rebalance (barrier-
 	// serialized with everything else by the Tick caller's contract).
-	migCalls []cell.Call
-	migRows  []cac.MigratedCall
+	migRows []cac.MigratedCall
 	// scoped[s] is shard s's receive buffer for interest-filtered
 	// exchange rows (each shard's apply op writes only its own slot).
 	scoped [][]cac.DemandRow
@@ -868,17 +878,20 @@ func (e *Engine) rebalance() error {
 	return nil
 }
 
-// migrate moves one cell: detach its station's call slots and extract
-// its controller state on the source shard's loop, then attach and
-// insert both on the target shard's loop. Two serialized ops — at
-// every instant the cell's state lives on exactly one loop.
+// migrate moves one cell: extract its controller state on the source
+// shard's loop, then insert it on the target shard's loop. Two
+// serialized ops — at every instant the cell's state lives on exactly
+// one loop. The station itself does not move: the source op is the
+// last write its old owner makes to it and the target op orders every
+// later write behind that one, so its call slots (and the handles that
+// name them) carry across the epoch untouched.
 func (e *Engine) migrate(m Migration) error {
 	bs := e.stations[m.Cell]
 	h := e.hexes[m.Cell]
-	var attachErr error
+	var calls int
 	if err := e.services[m.From].Do(func(ctrl cac.Controller) {
 		if e.cfg.Commit {
-			e.migCalls = bs.DetachCalls(e.migCalls[:0])
+			calls = bs.NumCalls()
 		}
 		if mig, ok := ctrl.(cac.CellMigrator); ok {
 			e.migRows = mig.MigrateOut(h, e.migRows[:0])
@@ -887,20 +900,13 @@ func (e *Engine) migrate(m Migration) error {
 		return err
 	}
 	if err := e.services[m.To].Do(func(ctrl cac.Controller) {
-		if e.cfg.Commit {
-			attachErr = bs.AttachCalls(e.migCalls)
-		}
 		if mig, ok := ctrl.(cac.CellMigrator); ok {
 			mig.MigrateIn(e.migRows)
 		}
 	}); err != nil {
 		return err
 	}
-	if attachErr != nil {
-		return fmt.Errorf("shard: migrating cell %v from shard %d to %d: %w", h, m.From, m.To, attachErr)
-	}
-	e.migratedCalls.Add(int64(len(e.migCalls)))
-	e.migCalls = e.migCalls[:0]
+	e.migratedCalls.Add(int64(calls))
 	e.migRows = e.migRows[:0]
 	return nil
 }
@@ -999,14 +1005,15 @@ func (e *Engine) Do(s int, fn func(ctrl cac.Controller)) error {
 	return e.services[s].Do(fn)
 }
 
-// Release retires a carried call on its station's shard, ordered after
-// everything already enqueued there (see serve.Service.Release).
-func (e *Engine) Release(callID int, station *cell.BaseStation, now float64) error {
+// Release retires the carried call h names on its station's shard,
+// ordered after everything already enqueued there (see
+// serve.Service.Release).
+func (e *Engine) Release(callID int, h cell.Handle, station *cell.BaseStation, now float64) error {
 	ci, ok := e.cellIdx[station.Hex()]
 	if !ok {
 		return fmt.Errorf("shard: station %v is outside the engine's network", station.Hex())
 	}
-	return e.services[e.own.Load().owner[ci]].Release(callID, station, now)
+	return e.services[e.own.Load().owner[ci]].Release(callID, h, station, now)
 }
 
 // UpdateState delivers a fresh kinematic estimate for a carried call to
@@ -1081,7 +1088,12 @@ func (e *Engine) processHandoff(h Handoff) HandoffResult {
 	var call cell.Call
 	var relErr error
 	if err := e.services[src].Do(func(ctrl cac.Controller) {
-		call, relErr = h.From.Release(h.CallID)
+		c, ok := h.From.Call(h.Handle)
+		if !ok || c.ID != h.CallID {
+			relErr = fmt.Errorf("shard: handoff of call %d from %v: %w", h.CallID, h.From.Hex(), cell.ErrUnknownCall)
+			return
+		}
+		call, relErr = h.From.Release(h.Handle)
 		if relErr != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -196,7 +197,7 @@ func replayWaves(t *testing.T, ctrl cac.Controller, waves [][]cac.Request, maxBa
 					call := chunk[i].Call
 					call.AdmittedAt = chunk[i].Now
 					call.Handoff = chunk[i].Handoff
-					if err := chunk[i].Station.Admit(call); err == nil {
+					if _, err := chunk[i].Station.Admit(call); err == nil {
 						o.committed = true
 						if observer != nil {
 							observer.OnAdmit(chunk[i])
@@ -297,7 +298,7 @@ func TestHandoffProtocol(t *testing.T) {
 	if !resps[0].Committed {
 		t.Fatalf("seed call not committed: %+v", resps[0])
 	}
-	id := reqs[0].Call.ID
+	id, h0 := reqs[0].Call.ID, resps[0].Handle
 
 	// Move it to a station owned by a different shard.
 	var target *cell.BaseStation
@@ -312,40 +313,46 @@ func TestHandoffProtocol(t *testing.T) {
 		t.Fatal("no cross-shard target in a 7-cell 4-shard engine")
 	}
 	res := e.HandoffCall(Handoff{
-		CallID: id, From: stations[0], To: target,
+		CallID: id, Handle: h0, From: stations[0], To: target,
 		Est: reqs[0].Est, Now: 10,
 	})
 	if res.Err != nil || !res.Response.Committed || !res.CrossShard {
 		t.Fatalf("cross-shard handoff failed: %+v", res)
 	}
-	if _, ok := stations[0].Call(id); ok {
+	if _, ok := stations[0].Call(h0); ok {
 		t.Fatal("source still carries the call after handoff")
 	}
-	c, ok := target.Call(id)
-	if !ok || !c.Handoff || c.AdmittedAt != 10 {
+	h1 := res.Response.Handle
+	c, ok := target.Call(h1)
+	if !ok || c.ID != id || !c.Handoff || c.AdmittedAt != 10 {
 		t.Fatalf("target does not carry the handed-off call: %+v ok=%v", c, ok)
 	}
 
-	// Unknown call: protocol error, no state change.
-	if res := e.HandoffCall(Handoff{CallID: 999, From: stations[0], To: target, Now: 11}); res.Err == nil {
-		t.Fatal("handoff of unknown call should error")
+	// Unknown call — the source handle went stale with the handoff:
+	// protocol error, no state change.
+	usedSrc, usedDst := stations[0].Used(), target.Used()
+	if res := e.HandoffCall(Handoff{CallID: id, Handle: h0, From: stations[0], To: target, Now: 11}); !errors.Is(res.Err, cell.ErrUnknownCall) {
+		t.Fatalf("handoff through a stale handle: err = %v, want cell.ErrUnknownCall", res.Err)
+	}
+	if stations[0].Used() != usedSrc || target.Used() != usedDst {
+		t.Fatal("failed handoff changed station state")
 	}
 
 	// A full target drops the handoff; the source has already released.
 	full := stations[3]
 	for i := 0; full.Free() >= traffic.Voice.BandwidthUnits(); i++ {
-		if err := full.Admit(cell.Call{ID: 5000 + i, Class: traffic.Video, BU: traffic.Video.BandwidthUnits()}); err != nil {
+		if _, err := full.Admit(cell.Call{ID: 5000 + i, Class: traffic.Video, BU: traffic.Video.BandwidthUnits()}); err != nil {
 			break
 		}
 	}
-	res = e.HandoffCall(Handoff{CallID: id, From: target, To: full, Est: reqs[0].Est, Now: 12})
+	res = e.HandoffCall(Handoff{CallID: id, Handle: h1, From: target, To: full, Est: reqs[0].Est, Now: 12})
 	if res.Err != nil {
 		t.Fatalf("drop should not be a protocol error: %v", res.Err)
 	}
 	if !res.Dropped() {
 		t.Fatalf("handoff into a full cell should drop: %+v", res)
 	}
-	if _, ok := target.Call(id); ok {
+	if _, ok := target.Call(h1); ok {
 		t.Fatal("source must release even when the target drops")
 	}
 
@@ -604,7 +611,7 @@ func TestUnroutableRequests(t *testing.T) {
 	if _, err := e.SubmitWave([]cac.Request{req}); err == nil {
 		t.Fatal("foreign station should fail wave routing")
 	}
-	if err := e.Release(1, foreign, 0); err == nil {
+	if err := e.Release(1, cell.Handle{}, foreign, 0); err == nil {
 		t.Fatal("foreign release should fail")
 	}
 	if err := e.UpdateState(1, gps.Estimate{}, foreign); err == nil {

@@ -48,7 +48,7 @@ func TestPublicShardedEngine(t *testing.T) {
 		}
 	}
 
-	res := eng.HandoffCall(facs.ShardHandoff{CallID: 1, From: stations[0], To: stations[1], Now: 3})
+	res := eng.HandoffCall(facs.ShardHandoff{CallID: 1, Handle: responses[0].Handle, From: stations[0], To: stations[1], Now: 3})
 	if res.Err != nil || res.Response.Err != nil || !res.Response.Committed {
 		t.Fatalf("handoff: %+v", res)
 	}
